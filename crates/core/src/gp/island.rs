@@ -52,7 +52,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Island topology of a feature search. Part of
@@ -252,21 +252,83 @@ impl IslandsSnapshot {
     }
 }
 
+impl Island {
+    /// Captures the island in serializable form.
+    pub(crate) fn snapshot(&self) -> IslandSnapshot {
+        IslandSnapshot {
+            id: self.id,
+            status: self.status,
+            restarts: self.restarts,
+            gp: self.gp.snapshot(),
+        }
+    }
+
+    /// Adopts a successfully stepped state; a converged step retires the
+    /// island from further rounds.
+    pub(crate) fn commit(&mut self, gp: GpState, converged: bool, telemetry: &Telemetry) {
+        self.gp = gp;
+        if converged {
+            self.status = IslandStatus::Converged;
+            telemetry
+                .event("island_converged")
+                .u64("island", self.id as u64)
+                .u64("generations", self.gp.generations as u64)
+                .emit();
+        }
+    }
+
+    /// Graceful degradation: the island is frozen and reported, never
+    /// silently dropped — its last committed state still migrates and
+    /// merges. `cause` completes the progress line.
+    pub(crate) fn freeze(&mut self, cause: &str, telemetry: &Telemetry) {
+        self.status = IslandStatus::Frozen;
+        telemetry
+            .event("island_frozen")
+            .u64("island", self.id as u64)
+            .u64("generations", self.gp.generations as u64)
+            .u64("restarts", self.restarts as u64)
+            .emit();
+        telemetry.counter_add("island.frozen", 1);
+        telemetry.progress(&format!(
+            "island {} frozen: {cause}; its last state still joins the merge",
+            self.id
+        ));
+    }
+}
+
 impl IslandsState {
+    /// Ids of the islands still advancing, ascending.
+    pub(crate) fn active(&self) -> Vec<usize> {
+        self.islands
+            .iter()
+            .filter(|i| i.status == IslandStatus::Active)
+            .map(|i| i.id)
+            .collect()
+    }
+
+    /// Closes a committed round: counts it, runs the ring migration on
+    /// migration rounds, and reports whether any island is still active.
+    pub(crate) fn end_round(
+        &mut self,
+        migration_every: usize,
+        telemetry: &Telemetry,
+    ) -> RoundStatus {
+        self.round += 1;
+        if self.round.is_multiple_of(migration_every.max(1)) {
+            migrate_ring(self, telemetry);
+        }
+        if self.active().is_empty() {
+            RoundStatus::Done
+        } else {
+            RoundStatus::Running
+        }
+    }
+
     /// Captures the full state in serializable form.
     pub fn snapshot(&self) -> IslandsSnapshot {
         IslandsSnapshot {
             round: self.round,
-            islands: self
-                .islands
-                .iter()
-                .map(|i| IslandSnapshot {
-                    id: i.id,
-                    status: i.status,
-                    restarts: i.restarts,
-                    gp: i.gp.snapshot(),
-                })
-                .collect(),
+            islands: self.islands.iter().map(Island::snapshot).collect(),
             ledger: self.ledger.clone(),
             ledger_digest: ledger_digest(&self.ledger),
         }
@@ -324,10 +386,167 @@ struct StepOutcome {
     step_us: u64,
 }
 
-/// Heartbeat sentinel: the island has not been picked up this round.
+/// Heartbeat sentinel: the slot has not been picked up this round.
 const HB_QUEUED: u64 = u64::MAX;
-/// Heartbeat sentinel: the island finished its step this round.
+/// Heartbeat sentinel: the slot finished this round.
 const HB_DONE: u64 = u64::MAX - 1;
+
+/// One round's barrier and heartbeat monitor, shared by the thread
+/// [`IslandCoordinator`] (one slot per island) and the process-level
+/// [`super::worker_proc::ProcSupervisor`] (one slot per worker). Each unit
+/// of work holds an [`InFlight`] token and checks its slots in with
+/// [`RoundWatch::beat`]; [`RoundWatch::wait`] returns the moment the last
+/// token drops, sleeping meanwhile until the earliest heartbeat deadline.
+/// Observational: a missed deadline is reported, never acted on.
+pub(crate) struct RoundWatch<'t> {
+    /// Names the miss event `<noun>_heartbeat_missed`, its slot field
+    /// `<noun>` and the counter `<noun>.heartbeat_missed`.
+    noun: &'static str,
+    /// 0 disables miss reporting (the round still waits for completion).
+    deadline_ms: u64,
+    telemetry: &'t Telemetry,
+    epoch: Instant,
+    state: Mutex<WatchState>,
+    wake: Condvar,
+}
+
+struct WatchState {
+    /// Per slot: the last check-in in ms since `epoch`, or a sentinel.
+    beats: Vec<u64>,
+    /// Dispatched units whose [`InFlight`] token is still alive.
+    in_flight: usize,
+    /// Summed step wall-clock of the slots finished this round.
+    busy_us: u64,
+}
+
+impl<'t> RoundWatch<'t> {
+    /// Starts a round over `slots` supervised slots.
+    pub(crate) fn new(
+        noun: &'static str,
+        slots: usize,
+        deadline_ms: u64,
+        telemetry: &'t Telemetry,
+    ) -> Self {
+        RoundWatch {
+            noun,
+            deadline_ms,
+            telemetry,
+            epoch: Instant::now(),
+            state: Mutex::new(WatchState {
+                beats: vec![HB_QUEUED; slots],
+                in_flight: 0,
+                busy_us: 0,
+            }),
+            wake: Condvar::new(),
+        }
+    }
+
+    fn state(&self) -> MutexGuard<'_, WatchState> {
+        // Every update leaves the state consistent, even mid-panic.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Registers one unit of work the round waits for. Call it before
+    /// spawning the unit, so [`RoundWatch::wait`] cannot miss it.
+    pub(crate) fn dispatch(&self) -> InFlight<'_, 't> {
+        self.state().in_flight += 1;
+        InFlight(self)
+    }
+
+    /// Checks `slot` in now.
+    pub(crate) fn beat(&self, slot: usize) {
+        let now = self.epoch.elapsed().as_millis() as u64;
+        let mut state = self.state();
+        let started = state.beats[slot] == HB_QUEUED;
+        state.beats[slot] = now;
+        if started {
+            // A newly started slot may bring the earliest deadline forward.
+            self.wake.notify_all();
+        }
+    }
+
+    /// Marks `slot` finished for this round after `busy_us` of step work.
+    pub(crate) fn done(&self, slot: usize, busy_us: u64) {
+        let mut state = self.state();
+        state.beats[slot] = HB_DONE;
+        state.busy_us += busy_us;
+    }
+
+    /// Blocks until every dispatched unit has returned. Reports at most one
+    /// miss per slot, once its check-in is more than the deadline old, then
+    /// adds the round's wall-clock and step time to the
+    /// `supervisor.round_us` and `supervisor.busy_us` counters.
+    pub(crate) fn wait(&self) {
+        let mut state = self.state();
+        let mut reported = vec![false; state.beats.len()];
+        while state.in_flight > 0 {
+            let now = self.epoch.elapsed().as_millis() as u64;
+            let mut next_due = u64::MAX;
+            for (slot, &beat) in state.beats.iter().enumerate() {
+                if self.deadline_ms == 0 || beat >= HB_DONE || reported[slot] {
+                    continue;
+                }
+                let overdue = now.saturating_sub(beat);
+                if overdue > self.deadline_ms {
+                    reported[slot] = true;
+                    self.telemetry
+                        .event(&format!("{}_heartbeat_missed", self.noun))
+                        .u64(self.noun, slot as u64)
+                        .u64("overdue_ms", overdue)
+                        .u64("deadline_ms", self.deadline_ms)
+                        .emit();
+                    self.telemetry
+                        .counter_add(&format!("{}.heartbeat_missed", self.noun), 1);
+                } else {
+                    next_due =
+                        next_due.min(beat.saturating_add(self.deadline_ms).saturating_add(1));
+                }
+            }
+            // With nothing due, the timeout is effectively unbounded: only
+            // a new check-in or the last unit's return wakes the round.
+            let timeout = Duration::from_millis(next_due).saturating_sub(self.epoch.elapsed());
+            state = self
+                .wake
+                .wait_timeout(state, timeout)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        let busy_us = state.busy_us;
+        drop(state);
+        self.telemetry.counter_add(
+            "supervisor.round_us",
+            self.epoch.elapsed().as_micros() as u64,
+        );
+        self.telemetry.counter_add("supervisor.busy_us", busy_us);
+    }
+}
+
+/// A dispatched unit's claim on its round. Dropping it, also while
+/// unwinding, wakes the supervisor when it was the last.
+pub(crate) struct InFlight<'w, 't>(&'w RoundWatch<'t>);
+
+impl Drop for InFlight<'_, '_> {
+    fn drop(&mut self) {
+        let mut state = self.0.state();
+        state.in_flight -= 1;
+        if state.in_flight == 0 {
+            self.0.wake.notify_all();
+        }
+    }
+}
+
+/// Sleeps before retrying after the `failures`-th consecutive failed
+/// attempt (1-based): `base_ms × 2^min(failures − 1, 5)`, capped at 2 s.
+/// Shared by the thread coordinator's step restarts and the process
+/// supervisor's reconnects.
+pub(crate) fn back_off(base_ms: u64, failures: usize) {
+    let ms = base_ms
+        .saturating_mul(1 << failures.saturating_sub(1).min(5))
+        .min(2_000);
+    if ms > 0 {
+        std::thread::sleep(Duration::from_millis(ms));
+    }
+}
 
 /// The supervising coordinator: drives one round at a time, owning the
 /// heartbeat monitor, per-island panic quarantine, restart-with-backoff
@@ -435,12 +654,7 @@ impl<'a, 'g> IslandCoordinator<'a, 'g> {
     /// rounds) exchanges elites. All-or-nothing: an interrupted round
     /// commits nothing.
     pub fn round<F: FitnessFn>(&mut self, state: &mut IslandsState, fitness: &F) -> RoundStatus {
-        let active: Vec<usize> = state
-            .islands
-            .iter()
-            .filter(|i| i.status == IslandStatus::Active)
-            .map(|i| i.id)
-            .collect();
+        let active = state.active();
         if active.is_empty() {
             return RoundStatus::Done;
         }
@@ -448,47 +662,36 @@ impl<'a, 'g> IslandCoordinator<'a, 'g> {
             return RoundStatus::Interrupted;
         }
 
-        let epoch = Instant::now();
-        let heartbeats: Vec<AtomicU64> =
-            active.iter().map(|_| AtomicU64::new(HB_QUEUED)).collect();
+        let watch = &RoundWatch::new(
+            "island",
+            state.islands.len(),
+            self.heartbeat_deadline_ms,
+            &self.telemetry,
+        );
         let mut outcomes: Vec<Option<StepOutcome>> = active.iter().map(|_| None).collect();
         let workers = self.workers.min(active.len()).max(1);
         let chunk = active.len().div_ceil(workers);
-        {
-            let this = &*self;
-            let refs: Vec<&Island> = active.iter().map(|&id| &state.islands[id]).collect();
-            let pending = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for ((island_chunk, out_chunk), hb_chunk) in refs
-                    .chunks(chunk)
-                    .zip(outcomes.chunks_mut(chunk))
-                    .zip(heartbeats.chunks(chunk))
-                {
-                    pending.fetch_add(1, Ordering::SeqCst);
-                    let pending = &pending;
-                    s.spawn(move || {
-                        for ((island, slot), hb) in island_chunk
-                            .iter()
-                            .zip(out_chunk.iter_mut())
-                            .zip(hb_chunk.iter())
-                        {
-                            hb.store(epoch.elapsed().as_millis() as u64, Ordering::SeqCst);
-                            let started = Instant::now();
-                            let mut outcome = this.step_island(island, fitness, hb, &epoch);
-                            outcome.step_us = started.elapsed().as_micros() as u64;
-                            let stop = outcome.interrupted;
-                            *slot = Some(outcome);
-                            hb.store(HB_DONE, Ordering::SeqCst);
-                            if stop {
-                                break;
-                            }
+        let this = &*self;
+        let refs: Vec<&Island> = active.iter().map(|&id| &state.islands[id]).collect();
+        std::thread::scope(|s| {
+            for (island_chunk, out_chunk) in refs.chunks(chunk).zip(outcomes.chunks_mut(chunk)) {
+                let in_flight = watch.dispatch();
+                s.spawn(move || {
+                    let _in_flight = in_flight;
+                    for (island, slot) in island_chunk.iter().zip(out_chunk.iter_mut()) {
+                        watch.beat(island.id);
+                        let outcome = this.step_island(island, fitness, watch);
+                        watch.done(island.id, outcome.step_us);
+                        let stop = outcome.interrupted;
+                        *slot = Some(outcome);
+                        if stop {
+                            break;
                         }
-                        pending.fetch_sub(1, Ordering::SeqCst);
-                    });
-                }
-                this.monitor(&active, &heartbeats, &pending, &epoch);
-            });
-        }
+                    }
+                });
+            }
+            watch.wait();
+        });
 
         // An interrupted step poisons the whole round: committing a
         // partial round would make the boundary worker-count-dependent.
@@ -518,49 +721,15 @@ impl<'a, 'g> IslandCoordinator<'a, 'g> {
             }
             match outcome.stepped {
                 Some((gp, status)) => {
-                    island.gp = gp;
-                    if status == GpStatus::Converged {
-                        island.status = IslandStatus::Converged;
-                        self.telemetry
-                            .event("island_converged")
-                            .u64("island", id as u64)
-                            .u64("generations", island.gp.generations as u64)
-                            .emit();
-                    }
+                    island.commit(gp, status == GpStatus::Converged, &self.telemetry);
                 }
                 None => {
-                    // Graceful degradation: frozen and reported, never
-                    // silently dropped — the last committed state still
-                    // migrates and merges.
-                    island.status = IslandStatus::Frozen;
-                    self.telemetry
-                        .event("island_frozen")
-                        .u64("island", id as u64)
-                        .u64("generations", island.gp.generations as u64)
-                        .u64("restarts", island.restarts as u64)
-                        .emit();
-                    self.telemetry.counter_add("island.frozen", 1);
-                    self.telemetry.progress(&format!(
-                        "island {id} frozen after {} crashed attempt(s); \
-                         its last state still joins the merge",
-                        island.restarts
-                    ));
+                    let cause = format!("{} crashed attempt(s)", island.restarts);
+                    island.freeze(&cause, &self.telemetry);
                 }
             }
         }
-        state.round += 1;
-        if state.round.is_multiple_of(self.topology.migration_every.max(1)) {
-            self.migrate(state);
-        }
-        if state
-            .islands
-            .iter()
-            .any(|i| i.status == IslandStatus::Active)
-        {
-            RoundStatus::Running
-        } else {
-            RoundStatus::Done
-        }
+        state.end_round(self.topology.migration_every, &self.telemetry)
     }
 
     /// Supervised single-island step: clone the committed state, attempt
@@ -569,19 +738,14 @@ impl<'a, 'g> IslandCoordinator<'a, 'g> {
         &self,
         island: &Island,
         fitness: &F,
-        hb: &AtomicU64,
-        epoch: &Instant,
+        watch: &RoundWatch<'_>,
     ) -> StepOutcome {
+        let started = Instant::now();
         let generation = island.gp.generations + 1;
         let mut failures = 0usize;
-        loop {
+        let (stepped, interrupted) = loop {
             if self.is_cancelled() {
-                return StepOutcome {
-                    stepped: None,
-                    restarts: failures,
-                    interrupted: true,
-                    step_us: 0,
-                };
+                break (None, true);
             }
             let attempt = failures + 1;
             let fault = self.injector.and_then(|inj| {
@@ -592,7 +756,7 @@ impl<'a, 'g> IslandCoordinator<'a, 'g> {
             if let Some(FaultKind::SlowHeartbeat(ms)) = fault {
                 std::thread::sleep(Duration::from_millis(ms));
             }
-            hb.store(epoch.elapsed().as_millis() as u64, Ordering::SeqCst);
+            watch.beat(island.id);
             match fault {
                 Some(FaultKind::IslandStall(ms) | FaultKind::Delay(ms)) => {
                     std::thread::sleep(Duration::from_millis(ms));
@@ -617,22 +781,8 @@ impl<'a, 'g> IslandCoordinator<'a, 'g> {
                     (trial, status)
                 }));
                 match result {
-                    Ok((trial, Some(status))) => {
-                        return StepOutcome {
-                            stepped: Some((trial, status)),
-                            restarts: failures,
-                            interrupted: false,
-                            step_us: 0,
-                        };
-                    }
-                    Ok((_, None)) => {
-                        return StepOutcome {
-                            stepped: None,
-                            restarts: failures,
-                            interrupted: true,
-                            step_us: 0,
-                        };
-                    }
+                    Ok((trial, Some(status))) => break (Some((trial, status)), false),
+                    Ok((_, None)) => break (None, true),
                     // A panic that escaped the engine's own quarantine:
                     // treat it as a worker crash and retry.
                     Err(_) => {}
@@ -640,66 +790,16 @@ impl<'a, 'g> IslandCoordinator<'a, 'g> {
             }
             failures += 1;
             if failures > self.topology.restart_limit {
-                return StepOutcome {
-                    stepped: None,
-                    restarts: failures,
-                    interrupted: false,
-                    step_us: 0,
-                };
+                break (None, false);
             }
-            let backoff = self
-                .restart_backoff_ms
-                .saturating_mul(1 << (failures - 1).min(5))
-                .min(2_000);
-            if backoff > 0 {
-                std::thread::sleep(Duration::from_millis(backoff));
-            }
+            back_off(self.restart_backoff_ms, failures);
+        };
+        StepOutcome {
+            stepped,
+            restarts: failures,
+            interrupted,
+            step_us: started.elapsed().as_micros() as u64,
         }
-    }
-
-    /// Observational heartbeat/deadline monitor, run on the coordinator
-    /// thread while workers step. Reports at most one miss per island per
-    /// round; never touches search state.
-    fn monitor(
-        &self,
-        active: &[usize],
-        heartbeats: &[AtomicU64],
-        pending: &AtomicUsize,
-        epoch: &Instant,
-    ) {
-        if self.heartbeat_deadline_ms == 0 {
-            return;
-        }
-        let poll = Duration::from_millis((self.heartbeat_deadline_ms / 4).clamp(2, 250));
-        let mut reported = vec![false; active.len()];
-        while pending.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(poll);
-            let now = epoch.elapsed().as_millis() as u64;
-            for (pos, hb) in heartbeats.iter().enumerate() {
-                let beat = hb.load(Ordering::SeqCst);
-                if beat == HB_QUEUED || beat == HB_DONE || reported[pos] {
-                    continue;
-                }
-                let overdue = now.saturating_sub(beat);
-                if overdue > self.heartbeat_deadline_ms {
-                    reported[pos] = true;
-                    self.telemetry
-                        .event("island_heartbeat_missed")
-                        .u64("island", active[pos] as u64)
-                        .u64("overdue_ms", overdue)
-                        .u64("deadline_ms", self.heartbeat_deadline_ms)
-                        .emit();
-                    self.telemetry.counter_add("island.heartbeat_missed", 1);
-                }
-            }
-        }
-    }
-
-    /// Deterministic ring migration: island `i` clones its best into the
-    /// last population slot of island `(i + 1) % n`. Frozen and converged
-    /// islands send but do not receive.
-    fn migrate(&self, state: &mut IslandsState) {
-        migrate_ring(state, &self.telemetry);
     }
 
     /// Merges the islands into one [`GpRun`]: best individual across all
@@ -716,13 +816,14 @@ impl<'a, 'g> IslandCoordinator<'a, 'g> {
     }
 }
 
-/// The shared migration policy: island `i` clones its best into the last
-/// population slot of island `(i + 1) % n` (a deterministic ring), every
-/// exchange recorded in the digest-sealed ledger. Frozen and converged
-/// islands send but do not receive. Used by both the thread-level
-/// [`IslandCoordinator`] and the process-level
-/// [`super::worker_proc::ProcSupervisor`] so the two modes cannot drift.
-pub(crate) fn migrate_ring(state: &mut IslandsState, telemetry: &Telemetry) {
+/// The shared migration policy, run by [`IslandsState::end_round`] for
+/// both the thread-level [`IslandCoordinator`] and the process-level
+/// [`super::worker_proc::ProcSupervisor`] so the two modes cannot drift:
+/// island `i` clones its best into the last population slot of island
+/// `(i + 1) % n` (a deterministic ring), every exchange recorded in the
+/// digest-sealed ledger. Frozen and converged islands send but do not
+/// receive.
+fn migrate_ring(state: &mut IslandsState, telemetry: &Telemetry) {
     let n = state.islands.len();
     if n < 2 {
         return;

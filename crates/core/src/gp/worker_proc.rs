@@ -55,8 +55,7 @@
 use crate::faults::{stable_hash, CancelToken, FaultInjector, FaultKind};
 use crate::gp::engine::{GpEngine, GpRun, GpState, GpStatus};
 use crate::gp::island::{
-    merge_islands, migrate_ring, IslandSnapshot, IslandStatus, IslandTopology, IslandsState,
-    RoundStatus,
+    back_off, merge_islands, IslandSnapshot, IslandTopology, IslandsState, RoundStatus, RoundWatch,
 };
 use crate::gp::transport::{
     duplex, FrameTransport, SendFault, StreamTransport, TransportError, TransportStats,
@@ -69,7 +68,6 @@ use crate::telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -573,11 +571,6 @@ impl Drop for WorkerHandle {
     }
 }
 
-/// Heartbeat sentinel: the batch has not been picked up this round.
-const HB_QUEUED: u64 = u64::MAX;
-/// Heartbeat sentinel: the batch finished this round.
-const HB_DONE: u64 = u64::MAX - 1;
-
 /// One island stepped by a worker, validated and decoded, awaiting the
 /// round's barrier commit.
 struct SteppedIsland {
@@ -597,6 +590,12 @@ struct BatchOutcome {
     reconnects: u64,
     digest_rejections: u64,
     frames: TransportStats,
+}
+
+fn record_frames(telemetry: &Telemetry, frames: TransportStats) {
+    telemetry.counter_add("worker.frames_tx", frames.frames_tx);
+    telemetry.counter_add("worker.frames_rx", frames.frames_rx);
+    telemetry.counter_add("worker.duplicates_dropped", frames.duplicates_dropped);
 }
 
 fn add_stats(total: &mut TransportStats, delta: TransportStats) {
@@ -720,12 +719,7 @@ impl<'a> ProcSupervisor<'a> {
                 .u64("reconnect_limit", self.topology.restart_limit as u64)
                 .emit();
         }
-        let active: Vec<usize> = state
-            .islands
-            .iter()
-            .filter(|i| i.status == IslandStatus::Active)
-            .map(|i| i.id)
-            .collect();
+        let active = state.active();
         if active.is_empty() {
             return RoundStatus::Done;
         }
@@ -749,48 +743,35 @@ impl<'a> ProcSupervisor<'a> {
             self.handles.push(Mutex::new(None));
         }
         let round = state.round + 1;
-        let epoch = Instant::now();
-        let heartbeats: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(HB_QUEUED)).collect();
+        let watch = &RoundWatch::new(
+            "worker",
+            workers,
+            self.heartbeat_deadline_ms,
+            &self.telemetry,
+        );
         let mut outcomes: Vec<BatchOutcome> = (0..workers).map(|_| BatchOutcome::default()).collect();
-        {
-            let this = &*self;
-            let pending = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for ((w, batch), (out, hb)) in batches
-                    .iter()
-                    .enumerate()
-                    .zip(outcomes.iter_mut().zip(heartbeats.iter()))
-                {
-                    if batch.is_empty() {
-                        continue;
-                    }
-                    let islands: Vec<IslandSnapshot> = batch
-                        .iter()
-                        .map(|&id| {
-                            let island = &state.islands[id];
-                            IslandSnapshot {
-                                id: island.id,
-                                status: island.status,
-                                restarts: island.restarts,
-                                gp: island.gp.snapshot(),
-                            }
-                        })
-                        .collect();
-                    pending.fetch_add(1, Ordering::SeqCst);
-                    let pending = &pending;
-                    let epoch = &epoch;
-                    s.spawn(move || {
-                        hb.store(epoch.elapsed().as_millis() as u64, Ordering::SeqCst);
-                        let mut slot = this.handles[w].lock().expect("worker slot lock");
-                        *out = this.run_batch(w, round, &islands, &mut slot, hb, epoch);
-                        drop(slot);
-                        hb.store(HB_DONE, Ordering::SeqCst);
-                        pending.fetch_sub(1, Ordering::SeqCst);
-                    });
+        let this = &*self;
+        std::thread::scope(|s| {
+            for ((w, batch), out) in batches.iter().enumerate().zip(outcomes.iter_mut()) {
+                if batch.is_empty() {
+                    continue;
                 }
-                this.monitor(&heartbeats, &pending, &epoch);
-            });
-        }
+                let islands: Vec<IslandSnapshot> = batch
+                    .iter()
+                    .map(|&id| state.islands[id].snapshot())
+                    .collect();
+                let in_flight = watch.dispatch();
+                s.spawn(move || {
+                    let _in_flight = in_flight;
+                    watch.beat(w);
+                    let mut slot = this.handles[w].lock().expect("worker slot lock");
+                    *out = this.run_batch(w, round, &islands, &mut slot, watch);
+                    drop(slot);
+                    watch.done(w, out.stepped.iter().map(|s| s.step_us).sum());
+                });
+            }
+            watch.wait();
+        });
 
         // An interrupted batch poisons the whole round: committing a
         // partial round would make the boundary worker-count-dependent.
@@ -825,10 +806,7 @@ impl<'a> ProcSupervisor<'a> {
                 self.telemetry
                     .counter_add("worker.digest_rejections", out.digest_rejections);
             }
-            self.telemetry.counter_add("worker.frames_tx", out.frames.frames_tx);
-            self.telemetry.counter_add("worker.frames_rx", out.frames.frames_rx);
-            self.telemetry
-                .counter_add("worker.duplicates_dropped", out.frames.duplicates_dropped);
+            record_frames(&self.telemetry, out.frames);
             if out.frozen {
                 self.telemetry
                     .event("worker_frozen")
@@ -847,21 +825,8 @@ impl<'a> ProcSupervisor<'a> {
             let out = &mut outcomes[w];
             let island = &mut state.islands[id];
             if out.frozen {
-                // Graceful degradation, exactly like the thread
-                // coordinator's freeze: reported, never silently dropped —
-                // the last committed state still migrates and merges.
-                island.status = IslandStatus::Frozen;
-                self.telemetry
-                    .event("island_frozen")
-                    .u64("island", id as u64)
-                    .u64("generations", island.gp.generations as u64)
-                    .u64("restarts", island.restarts as u64)
-                    .emit();
-                self.telemetry.counter_add("island.frozen", 1);
-                self.telemetry.progress(&format!(
-                    "island {id} frozen: worker {w} exhausted its reconnect window; \
-                     its last state still joins the merge"
-                ));
+                let cause = format!("worker {w} exhausted its reconnect window");
+                island.freeze(&cause, &self.telemetry);
                 continue;
             }
             let pos = out
@@ -871,29 +836,9 @@ impl<'a> ProcSupervisor<'a> {
                 .expect("uninterrupted, unfrozen batch stepped all its islands");
             let stepped = out.stepped.swap_remove(pos);
             self.step_us[id] += stepped.step_us;
-            island.gp = stepped.gp;
-            if stepped.converged {
-                island.status = IslandStatus::Converged;
-                self.telemetry
-                    .event("island_converged")
-                    .u64("island", id as u64)
-                    .u64("generations", island.gp.generations as u64)
-                    .emit();
-            }
+            island.commit(stepped.gp, stepped.converged, &self.telemetry);
         }
-        state.round += 1;
-        if state.round.is_multiple_of(self.topology.migration_every.max(1)) {
-            migrate_ring(state, &self.telemetry);
-        }
-        if state
-            .islands
-            .iter()
-            .any(|i| i.status == IslandStatus::Active)
-        {
-            RoundStatus::Running
-        } else {
-            RoundStatus::Done
-        }
+        state.end_round(self.topology.migration_every, &self.telemetry)
     }
 
     /// One worker's batch for one round: the retry → respawn → freeze
@@ -905,8 +850,7 @@ impl<'a> ProcSupervisor<'a> {
         round: usize,
         islands: &[IslandSnapshot],
         slot: &mut Option<WorkerHandle>,
-        hb: &AtomicU64,
-        epoch: &Instant,
+        watch: &RoundWatch<'_>,
     ) -> BatchOutcome {
         let mut out = BatchOutcome::default();
         let mut attempt = 0usize;
@@ -955,7 +899,7 @@ impl<'a> ProcSupervisor<'a> {
                     add_stats(&mut out.frames, handle.drain_stats());
                 }
                 out.respawns += 1;
-                self.backoff(attempt);
+                back_off(self.backoff_ms, attempt);
                 continue;
             }
             if slot.is_none() {
@@ -971,18 +915,18 @@ impl<'a> ProcSupervisor<'a> {
                     }
                     Err(ConnectError::DigestRejected) => {
                         out.digest_rejections += 1;
-                        self.backoff(attempt);
+                        back_off(self.backoff_ms, attempt);
                         continue;
                     }
                     Err(ConnectError::Failed) => {
-                        self.backoff(attempt);
+                        back_off(self.backoff_ms, attempt);
                         continue;
                     }
                 }
             }
             let handle = slot.as_mut().expect("connected above");
-            hb.store(epoch.elapsed().as_millis() as u64, Ordering::SeqCst);
-            match step_batch(handle, islands, first_send, hb, epoch) {
+            watch.beat(w);
+            match step_batch(handle, islands, first_send, watch, w) {
                 Ok(stepped) => {
                     out.stepped = stepped;
                     add_stats(&mut out.frames, handle.drain_stats());
@@ -996,19 +940,9 @@ impl<'a> ProcSupervisor<'a> {
                         add_stats(&mut out.frames, handle.drain_stats());
                     }
                     out.respawns += 1;
-                    self.backoff(attempt);
+                    back_off(self.backoff_ms, attempt);
                 }
             }
-        }
-    }
-
-    fn backoff(&self, attempt: usize) {
-        let ms = self
-            .backoff_ms
-            .saturating_mul(1 << attempt.saturating_sub(1).min(5))
-            .min(2_000);
-        if ms > 0 {
-            std::thread::sleep(Duration::from_millis(ms));
         }
     }
 
@@ -1031,38 +965,6 @@ impl<'a> ProcSupervisor<'a> {
         }
     }
 
-    /// Observational heartbeat monitor, run on the supervisor thread while
-    /// batches are in flight. At most one miss reported per worker per
-    /// round; never touches search state.
-    fn monitor(&self, heartbeats: &[AtomicU64], pending: &AtomicUsize, epoch: &Instant) {
-        if self.heartbeat_deadline_ms == 0 {
-            return;
-        }
-        let poll = Duration::from_millis((self.heartbeat_deadline_ms / 4).clamp(2, 250));
-        let mut reported = vec![false; heartbeats.len()];
-        while pending.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(poll);
-            let now = epoch.elapsed().as_millis() as u64;
-            for (w, hb) in heartbeats.iter().enumerate() {
-                let beat = hb.load(Ordering::SeqCst);
-                if beat == HB_QUEUED || beat == HB_DONE || reported[w] {
-                    continue;
-                }
-                let overdue = now.saturating_sub(beat);
-                if overdue > self.heartbeat_deadline_ms {
-                    reported[w] = true;
-                    self.telemetry
-                        .event("worker_heartbeat_missed")
-                        .u64("worker", w as u64)
-                        .u64("overdue_ms", overdue)
-                        .u64("deadline_ms", self.heartbeat_deadline_ms)
-                        .emit();
-                    self.telemetry.counter_add("worker.heartbeat_missed", 1);
-                }
-            }
-        }
-    }
-
     /// Merges the islands into one [`GpRun`] — the shared policy of
     /// [`merge_islands`], so process-mode merges cannot drift from
     /// thread-mode ones.
@@ -1079,11 +981,7 @@ impl<'a> ProcSupervisor<'a> {
                 .into_inner()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             if let Some(mut handle) = slot {
-                let frames = handle.drain_stats();
-                self.telemetry.counter_add("worker.frames_tx", frames.frames_tx);
-                self.telemetry.counter_add("worker.frames_rx", frames.frames_rx);
-                self.telemetry
-                    .counter_add("worker.duplicates_dropped", frames.duplicates_dropped);
+                record_frames(&self.telemetry, handle.drain_stats());
                 handle.shutdown();
             }
         }
@@ -1102,8 +1000,8 @@ fn step_batch(
     handle: &mut WorkerHandle,
     islands: &[IslandSnapshot],
     first_send: SendFault,
-    hb: &AtomicU64,
-    epoch: &Instant,
+    watch: &RoundWatch<'_>,
+    w: usize,
 ) -> Result<Vec<SteppedIsland>, TransportError> {
     let mut out = Vec::with_capacity(islands.len());
     for (pos, island) in islands.iter().enumerate() {
@@ -1115,7 +1013,7 @@ fn step_batch(
         let t = handle.transport();
         t.send_with(&msg, fault)?;
         let reply = t.recv()?;
-        hb.store(epoch.elapsed().as_millis() as u64, Ordering::SeqCst);
+        watch.beat(w);
         match decode_msg(&reply)? {
             WireMsg::StepDone {
                 island: stepped,

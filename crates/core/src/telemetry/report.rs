@@ -384,10 +384,34 @@ pub fn render(events: &[ParsedEvent], skipped: usize) -> String {
         );
     }
 
+    // Supervisor wait: the rounds' wall-clock against the step time that
+    // filled it, over the slots (workers that had an island) a round could
+    // keep busy. Rendered by the section of whichever supervisor ran.
+    let islands_start = events.iter().rev().find(|e| e.kind == "islands_start");
+    let workers_start = events.iter().rev().find(|e| e.kind == "workers_start");
+    let island_count = islands_start.and_then(|e| field_u64(&e.fields, "islands"));
+    let wait_share = |out: &mut String, workers: u64| {
+        let round_us = get("supervisor.round_us");
+        if round_us == 0 {
+            return;
+        }
+        let busy_us = get("supervisor.busy_us");
+        let slots = workers.min(island_count.unwrap_or(workers)).max(1);
+        let capacity = round_us.saturating_mul(slots);
+        let share = capacity.saturating_sub(busy_us) as f64 / capacity as f64;
+        let _ = writeln!(
+            out,
+            "  supervisor: {} in rounds, {} stepping over {slots} slot(s), wait share {:.1}%",
+            fmt_dur_us(round_us),
+            fmt_dur_us(busy_us),
+            100.0 * share
+        );
+    };
+
     // Island resilience: restarts, freezes, migrations, slowest island —
     // the search-phase mirror of the campaign resilience tally.
-    if let Some(start) = events.iter().rev().find(|e| e.kind == "islands_start") {
-        let islands = field_u64(&start.fields, "islands").unwrap_or(0);
+    if let Some(start) = islands_start {
+        let islands = island_count.unwrap_or(0);
         let workers = field_u64(&start.fields, "workers").unwrap_or(1);
         let restarts: u64 = events
             .iter()
@@ -442,12 +466,15 @@ pub fn render(events: &[ParsedEvent], skipped: usize) -> String {
                 fmt_dur_us(*dur)
             );
         }
+        if workers_start.is_none() {
+            wait_share(&mut out, workers);
+        }
     }
 
     // Worker resilience: the process-supervisor mirror of the island tally.
     // Respawns and reconnects are observational (byte-invisible to results);
     // frozen islands are the only degradation that reaches the merge.
-    if let Some(start) = events.iter().rev().find(|e| e.kind == "workers_start") {
+    if let Some(start) = workers_start {
         let workers = field_u64(&start.fields, "workers").unwrap_or(0);
         let launcher = field_str(&start.fields, "launcher").unwrap_or("?");
         let respawns: u64 = events
@@ -487,6 +514,7 @@ pub fn render(events: &[ParsedEvent], skipped: usize) -> String {
             get("worker.duplicates_dropped"),
             get("worker.digest_rejections"),
         );
+        wait_share(&mut out, workers);
     }
 
     // Serve daemon: request volume, cache behavior, hot reloads. Gauges
@@ -707,6 +735,9 @@ mod tests {
                 .u64("step_us", 1_000 * (id + 1))
                 .emit();
         }
+        t.counter_add("supervisor.round_us", 100_000);
+        t.counter_add("supervisor.busy_us", 150_000);
+        t.emit_metrics("eval_pool");
         drop(t);
 
         let summary = summarize_dir(&dir).expect("summarize");
@@ -723,6 +754,13 @@ mod tests {
             "{summary}"
         );
         assert!(summary.contains("slowest island: 3"), "{summary}");
+        assert!(
+            summary.contains(
+                "supervisor: 100.0ms in rounds, 150.0ms stepping over 2 slot(s), \
+                 wait share 25.0%"
+            ),
+            "{summary}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -758,6 +796,8 @@ mod tests {
         t.counter_add("worker.frames_rx", 38);
         t.counter_add("worker.duplicates_dropped", 1);
         t.counter_add("worker.digest_rejections", 1);
+        t.counter_add("supervisor.round_us", 1_000_000);
+        t.counter_add("supervisor.busy_us", 500_000);
         t.emit_metrics("proc_supervisor");
         drop(t);
 
@@ -776,6 +816,13 @@ mod tests {
             summary.contains(
                 "frames: 40 sent / 38 received, 1 duplicate(s) dropped, \
                  1 digest/handshake rejection(s)"
+            ),
+            "{summary}"
+        );
+        assert!(
+            summary.contains(
+                "supervisor: 1.00s in rounds, 500.0ms stepping over 2 slot(s), \
+                 wait share 75.0%"
             ),
             "{summary}"
         );

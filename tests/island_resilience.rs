@@ -15,18 +15,23 @@
 //!    merges — the search completes on the surviving islands.
 //! 4. **Wall-clock events are report-only**: stalls and slow heartbeats
 //!    surface in telemetry but never change results.
-//! 5. **Foreign or corrupted island checkpoints are rejected with typed
+//! 5. **A round ends when its steps do**: the supervisor wakes on
+//!    completion, in thread and process mode, whatever the deadline.
+//! 6. **Foreign or corrupted island checkpoints are rejected with typed
 //!    errors and never partially loaded** (property-tested).
 
 use fegen::core::gp::island::ledger_digest;
 use fegen::core::ir::IrNode;
 use fegen::core::search::TrainingExample;
+use fegen::core::telemetry::report;
 use fegen::core::{
     CheckpointError, FaultInjector, FaultKind, FaultPlan, FaultTrigger, FeatureSearch,
-    IslandTopology, SearchCheckpoint, SearchConfig, SearchError, SearchOutcome, Telemetry,
+    IslandTopology, SearchCheckpoint, SearchConfig, SearchDriver, SearchError, SearchOutcome,
+    Telemetry, WorkerLauncher,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 /// Synthetic task: the best unroll factor is fully determined by the number
 /// of `insn` children, so the search reliably finds improving features.
@@ -299,6 +304,64 @@ fn stalls_and_slow_heartbeats_are_report_only() {
             .any(|l| l.contains("\"kind\":\"island_heartbeat_missed\"")),
         "the 40ms stall against an 8ms deadline must be reported"
     );
+}
+
+// ---------------------------------------------------------------------------
+// The round barrier wakes on completion, not on a poll.
+// ---------------------------------------------------------------------------
+
+/// Rounds an island search ran, read from its telemetry log: every island
+/// run ends with one `island_done` per island (ids ascending), and a run
+/// lasts as many rounds as its most-stepped island has generations.
+fn rounds_logged(dir: &Path) -> u64 {
+    let (events, _) = report::read_events(dir).expect("telemetry log readable");
+    let (mut rounds, mut run_max) = (0, 0);
+    for e in events.iter().filter(|e| e.kind == "island_done") {
+        if report::field_u64(&e.fields, "island") == Some(0) {
+            rounds += run_max;
+            run_max = 0;
+        }
+        run_max = run_max.max(report::field_u64(&e.fields, "generations").unwrap_or(0));
+    }
+    rounds + run_max
+}
+
+/// Each round's steps take milliseconds here, so a supervisor that wakes
+/// when they finish runs far below 250 ms per round — the poll a
+/// sleep-driven monitor takes at the default 2 s deadline (deadline / 4).
+/// The 60 s deadline case fails a monitor that waits only for deadlines.
+#[test]
+fn rounds_end_when_their_steps_finish() {
+    type Mode = for<'a> fn(SearchDriver<'a>) -> SearchDriver<'a>;
+    let examples = synthetic_examples(40);
+    let search = FeatureSearch::from_examples(&examples, island_config(4));
+    let modes: [(&str, Mode); 3] = [
+        ("threads", |d| d.workers(2)),
+        ("threads-60s", |d| {
+            d.workers(2).heartbeat_deadline_ms(60_000)
+        }),
+        ("loopback", |d| {
+            d.process_workers(2, WorkerLauncher::Loopback)
+        }),
+    ];
+    for (tag, mode) in modes {
+        let dir = temp_dir(&format!("wake-{tag}"));
+        let telemetry = Telemetry::to_dir(&dir).expect("telemetry dir opens");
+        let started = Instant::now();
+        mode(search.driver().telemetry(telemetry.clone()))
+            .run(&examples)
+            .unwrap_or_else(|e| panic!("{tag}: search failed: {e}"));
+        let elapsed = started.elapsed();
+        drop(telemetry);
+        let rounds = rounds_logged(&dir);
+        assert!(rounds > 0, "{tag}: no island rounds were logged");
+        let poll_floor = Duration::from_millis(250 * rounds);
+        assert!(
+            elapsed < poll_floor,
+            "{tag}: {rounds} round(s) took {elapsed:?}, not under {poll_floor:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -375,6 +375,39 @@ fn kill_torn_stall_and_duplicate_schedules_converge_to_the_same_bytes() {
     }
 }
 
+/// The process-mode mirror of the thread suite's report-only stall check:
+/// a batch stalled past the heartbeat deadline is reported as a missed
+/// worker heartbeat, and nothing else changes.
+#[test]
+fn stalled_worker_batch_is_reported_and_byte_invisible() {
+    let config = island_config(2);
+    let reference = run_threads(&config, 2);
+    let examples = synthetic_examples(40);
+    let injector = FaultInjector::new(vec![FaultPlan {
+        trigger: FaultTrigger::OnKeyPrefix("worker:1:round2#a1".into()),
+        kind: FaultKind::StallConn(40),
+    }]);
+    let telemetry = Telemetry::memory();
+    let search = FeatureSearch::from_examples(&examples, config);
+    let outcome = search
+        .driver()
+        .process_workers(2, WorkerLauncher::Loopback)
+        .heartbeat_deadline_ms(8)
+        .fault_injector(&injector)
+        .telemetry(telemetry.clone())
+        .run(&examples)
+        .expect("a stalled worker must never abort the search");
+    assert!(injector.injected() >= 1, "the stall must have fired");
+    assert_eq!(outcome, reference, "the stall leaked into the result bytes");
+    let lines = telemetry.drain_memory();
+    assert!(
+        lines
+            .iter()
+            .any(|l| l.contains("\"kind\":\"worker_heartbeat_missed\"")),
+        "the 40ms stall against an 8ms deadline must be reported"
+    );
+}
+
 /// The same transient kill, driven through real stdio worker processes:
 /// the supervisor reaps the killed child and respawns a fresh one, and the
 /// outcome still matches the thread-mode reference.
