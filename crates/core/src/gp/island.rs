@@ -4,8 +4,10 @@
 //! the normal case, not the exception. This module makes the *island* the
 //! restartable unit of work: N populations advance independently on
 //! isolated RNG streams (each derived from the root seed), exchange elites
-//! through periodic deterministic migration rounds, and are driven by a
-//! coordinator that supervises every step.
+//! through periodic deterministic migration rounds, and are driven by one
+//! supervisor (`IslandSupervisor`) that supervises every step over a step
+//! executor: this process's threads (`InThread`) or worker processes
+//! (`WorkerFleet`, in [`super::worker_proc`]).
 //!
 //! # Determinism rule
 //!
@@ -14,20 +16,21 @@
 //! *content-deterministic* events may alter the trajectory:
 //!
 //! - A **round is a barrier**: every active island advances exactly one
-//!   generation per round, dispatched across however many worker threads
-//!   are available. Each step executes on a *clone* of the island's last
-//!   committed state; results are committed sequentially in island-id
-//!   order after all workers join, so the worker count can only change
-//!   wall-clock time, never state.
-//! - **Crashes are keyed, not timed**: each step attempt consults the
-//!   fault injector under the key `island:<id>:g<generation>#a<attempt>`.
-//!   Whether an attempt crashes is a function of that key alone, so
-//!   injected kills reproduce identically at any worker count. A crashed
-//!   attempt is retried from the island's last committed state with
-//!   bounded exponential backoff; after [`IslandTopology::restart_limit`]
-//!   consecutive failures the island is **frozen** — reported, never
-//!   silently dropped, and its last committed state still sends migrants
-//!   and joins the final merge.
+//!   generation per round, island `i` in batch `i % workers`. Each step
+//!   executes on a *clone* of the island's last committed state; results
+//!   are committed sequentially in island-id order after all batches
+//!   join, so the worker count can only change wall-clock time, never
+//!   state.
+//! - **Crashes are keyed, not timed**: in thread mode each step attempt
+//!   consults the fault injector under the key
+//!   `island:<id>:g<generation>#a<attempt>` (process mode keys its faults
+//!   per worker batch, see [`super::worker_proc`]). Whether an attempt
+//!   crashes is a function of that key alone, so injected kills reproduce
+//!   identically at any worker count. A crashed attempt is retried from
+//!   the island's last committed state with bounded exponential backoff;
+//!   after [`IslandTopology::restart_limit`] consecutive failures the
+//!   island is **frozen** — reported, never silently dropped, and its last
+//!   committed state still sends migrants and joins the final merge.
 //! - **Wall-clock events are report-only**: heartbeat deadlines, stalls
 //!   and slow check-ins produce telemetry, never state changes.
 //! - **Cancellation discards, never commits, partial rounds**: if any
@@ -64,7 +67,7 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IslandTopology {
     /// Number of island populations (1 = the classic single-population
-    /// search; the island coordinator is bypassed entirely).
+    /// search; the island supervisor is bypassed entirely).
     pub islands: usize,
     /// Rounds between migration exchanges (each round advances every
     /// active island by one generation).
@@ -153,7 +156,7 @@ pub struct MigrationRecord {
 }
 
 /// Full state of an island run between rounds: the unit the outer search
-/// checkpoints and the coordinator merges.
+/// checkpoints and the supervisor merges.
 #[derive(Debug, Clone)]
 pub struct IslandsState {
     /// The islands, indexed by id.
@@ -297,6 +300,25 @@ impl Island {
 }
 
 impl IslandsState {
+    /// Derives the initial island states: per-island RNG streams are
+    /// seeded by consecutive draws from the outer RNG, in id order, so
+    /// the topology fully determines every stream.
+    pub(crate) fn init(engine: &GpEngine<'_>, topology: &IslandTopology, rng: &mut StdRng) -> Self {
+        let islands = (0..topology.islands.max(1))
+            .map(|id| Island {
+                id,
+                gp: engine.init_state(StdRng::seed_from_u64(rng.gen())),
+                status: IslandStatus::Active,
+                restarts: 0,
+            })
+            .collect();
+        IslandsState {
+            islands,
+            round: 0,
+            ledger: Vec::new(),
+        }
+    }
+
     /// Ids of the islands still advancing, ascending.
     pub(crate) fn active(&self) -> Vec<usize> {
         self.islands
@@ -361,7 +383,7 @@ impl IslandsState {
     }
 }
 
-/// What a coordinator round left behind.
+/// What a supervised round left behind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundStatus {
     /// At least one island remains active.
@@ -373,17 +395,33 @@ pub enum RoundStatus {
     Interrupted,
 }
 
-/// Result of one supervised island step attempt sequence.
-struct StepOutcome {
-    /// The stepped state, or `None` when the island froze.
-    stepped: Option<(GpState, GpStatus)>,
-    /// Crashed attempts absorbed while producing this outcome.
-    restarts: usize,
-    /// The step was interrupted by cancellation; discard the round.
-    interrupted: bool,
+/// A stepped state and whether it converged, or why the island froze.
+pub(crate) type Stepped = Result<(GpState, bool), String>;
+
+/// One island's result from an uninterrupted batch, awaiting the round's
+/// commit.
+pub(crate) struct IslandStep {
+    pub(crate) result: Stepped,
+    /// Crashed attempts to record in the island's state. In-thread
+    /// fitness crashes count; worker respawns and reconnects are
+    /// infrastructure, reported as telemetry only.
+    pub(crate) restarts: usize,
     /// Wall-clock time spent on this island this round (including retries
     /// and backoff), for the slowest-island report.
-    step_us: u64,
+    pub(crate) step_us: u64,
+}
+
+/// What one batch — the islands one worker steps in a round — left
+/// behind.
+#[derive(Default)]
+pub(crate) struct Batch<T> {
+    /// One step per island of the batch, in batch order; cut short when
+    /// the batch was interrupted.
+    pub(crate) steps: Vec<IslandStep>,
+    /// Cancellation landed mid-batch: the whole round is discarded.
+    pub(crate) interrupted: bool,
+    /// Executor-specific tallies, see [`StepExecutor::report`].
+    pub(crate) tally: T,
 }
 
 /// Heartbeat sentinel: the slot has not been picked up this round.
@@ -391,9 +429,9 @@ const HB_QUEUED: u64 = u64::MAX;
 /// Heartbeat sentinel: the slot finished this round.
 const HB_DONE: u64 = u64::MAX - 1;
 
-/// One round's barrier and heartbeat monitor, shared by the thread
-/// [`IslandCoordinator`] (one slot per island) and the process-level
-/// [`super::worker_proc::ProcSupervisor`] (one slot per worker). Each unit
+/// One round's barrier and heartbeat monitor, owned by the
+/// [`IslandSupervisor`]; its slots are islands or workers, as the
+/// executor's [`StepExecutor::slots`] says. Each unit
 /// of work holds an [`InFlight`] token and checks its slots in with
 /// [`RoundWatch::beat`]; [`RoundWatch::wait`] returns the moment the last
 /// token drops, sleeping meanwhile until the earliest heartbeat deadline.
@@ -535,220 +573,326 @@ impl Drop for InFlight<'_, '_> {
     }
 }
 
+/// Base delay of [`back_off`], in milliseconds.
+const BACKOFF_BASE_MS: u64 = 1;
+
 /// Sleeps before retrying after the `failures`-th consecutive failed
-/// attempt (1-based): `base_ms × 2^min(failures − 1, 5)`, capped at 2 s.
-/// Shared by the thread coordinator's step restarts and the process
-/// supervisor's reconnects.
-pub(crate) fn back_off(base_ms: u64, failures: usize) {
-    let ms = base_ms
+/// attempt (1-based): `1 ms × 2^min(failures − 1, 5)`, capped at 2 s.
+/// Shared by in-thread step restarts and worker reconnects.
+pub(crate) fn back_off(failures: usize) {
+    let ms = BACKOFF_BASE_MS
         .saturating_mul(1 << failures.saturating_sub(1).min(5))
         .min(2_000);
-    if ms > 0 {
-        std::thread::sleep(Duration::from_millis(ms));
+    std::thread::sleep(Duration::from_millis(ms));
+}
+
+/// The settings a supervised round runs under, read by both executors:
+/// the engine and topology that define the trajectory, plus execution
+/// knobs that must not change it.
+pub(crate) struct Supervision<'a, 'g> {
+    pub(crate) engine: &'a GpEngine<'g>,
+    pub(crate) topology: IslandTopology,
+    /// Batches per round (threads or worker processes): any value produces
+    /// byte-identical results.
+    pub(crate) workers: usize,
+    /// 0 disables the heartbeat monitor. Observational only: a missed
+    /// deadline is reported, never acted on (wall-clock events must not
+    /// alter the trajectory).
+    pub(crate) heartbeat_deadline_ms: u64,
+    /// Cooperative cancellation, polled before and during steps.
+    pub(crate) cancel: Option<&'a CancelToken>,
+    /// Consulted by the executor under its own fault keys.
+    pub(crate) injector: Option<&'a FaultInjector>,
+    pub(crate) telemetry: Telemetry,
+}
+
+impl Supervision<'_, '_> {
+    pub(crate) fn is_cancelled(&self) -> bool {
+        self.cancel.is_some_and(CancelToken::is_cancelled)
     }
 }
 
-/// The supervising coordinator: drives one round at a time, owning the
-/// heartbeat monitor, per-island panic quarantine, restart-with-backoff
-/// and freeze-on-repeated-failure policy.
-pub struct IslandCoordinator<'a, 'g> {
-    engine: &'a GpEngine<'g>,
-    topology: IslandTopology,
-    workers: usize,
-    heartbeat_deadline_ms: u64,
-    restart_backoff_ms: u64,
-    cancel: Option<&'a CancelToken>,
-    injector: Option<&'a FaultInjector>,
-    telemetry: Telemetry,
+/// How one batch of islands is stepped: on this process's threads
+/// ([`InThread`]) or by a worker process
+/// ([`super::worker_proc::WorkerFleet`]). Everything else about a round is
+/// [`IslandSupervisor`]'s, written once, so the two modes cannot drift.
+pub(crate) trait StepExecutor: Sync {
+    /// Executor-specific per-batch tallies, reported after a committed
+    /// round.
+    type Tally: Default + Send;
+    /// A batch as its step thread receives it.
+    type Staged<'s>: Send;
+    /// What a round-watch slot stands for; names the
+    /// `<noun>_heartbeat_missed` event.
+    const NOUN: &'static str;
+
+    /// Round-watch slots for `islands` islands stepped in `workers`
+    /// batches.
+    fn slots(islands: usize, workers: usize) -> usize;
+
+    /// Runs before every round.
+    fn prepare_round(&mut self, _sup: &Supervision<'_, '_>) {}
+
+    /// Prepares a batch on the supervisor thread, before dispatch. Large
+    /// payloads belong here, not on the round's short-lived step threads:
+    /// built there, in per-thread allocator arenas, they made process-mode
+    /// rounds measurably slower.
+    fn stage<'s>(&self, batch: Vec<&'s Island>) -> Self::Staged<'s>;
+
+    /// Steps batch `w` of round `round`: every island one generation from
+    /// its committed state, checking slots in with `watch`.
+    fn step_batch(
+        &self,
+        sup: &Supervision<'_, '_>,
+        w: usize,
+        round: usize,
+        batch: Self::Staged<'_>,
+        watch: &RoundWatch<'_>,
+    ) -> Batch<Self::Tally>;
+
+    /// Reports batch `w` (of `islands` islands) after an uninterrupted
+    /// round, in worker-id order, before the commit.
+    fn report(
+        &self,
+        _sup: &Supervision<'_, '_>,
+        _w: usize,
+        _round: usize,
+        _islands: usize,
+        _tally: &Self::Tally,
+    ) {
+    }
+
+    /// Releases the executor's resources.
+    fn shutdown(self, _sup: &Supervision<'_, '_>)
+    where
+        Self: Sized,
+    {
+    }
+}
+
+/// The island supervisor: drives one round at a time over a
+/// [`StepExecutor`], owning assignment, dispatch, the round watch, the
+/// discard of interrupted rounds, the island-id-order commit, migration
+/// and the final merge.
+pub(crate) struct IslandSupervisor<'a, 'g, E> {
+    sup: Supervision<'a, 'g>,
+    executor: E,
     /// Cumulative per-island step wall-clock, for the final report.
     step_us: Vec<u64>,
 }
 
-impl<'a, 'g> IslandCoordinator<'a, 'g> {
-    /// A coordinator over `engine` with the given topology. Defaults: one
-    /// worker, 2 s heartbeat deadline, 1 ms restart backoff base.
-    pub fn new(engine: &'a GpEngine<'g>, topology: IslandTopology) -> Self {
-        let islands = topology.islands.max(1);
-        IslandCoordinator {
-            engine,
-            topology,
-            workers: 1,
-            heartbeat_deadline_ms: 2_000,
-            restart_backoff_ms: 1,
-            cancel: None,
-            injector: None,
-            telemetry: Telemetry::disabled(),
+impl<'a, 'g, E: StepExecutor> IslandSupervisor<'a, 'g, E> {
+    pub(crate) fn new(mut sup: Supervision<'a, 'g>, executor: E) -> Self {
+        sup.workers = sup.workers.max(1);
+        let islands = sup.topology.islands.max(1);
+        IslandSupervisor {
+            sup,
+            executor,
             step_us: vec![0; islands],
         }
-    }
-
-    /// Worker threads stepping islands each round (execution knob: any
-    /// value produces byte-identical results).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Heartbeat deadline in milliseconds; 0 disables the monitor. The
-    /// monitor is observational: a missed deadline is reported, never
-    /// acted on (wall-clock events must not alter the trajectory).
-    pub fn heartbeat_deadline_ms(mut self, ms: u64) -> Self {
-        self.heartbeat_deadline_ms = ms;
-        self
-    }
-
-    /// Base backoff (milliseconds) between restart attempts; grows
-    /// exponentially per consecutive failure, capped at 2 s.
-    pub fn restart_backoff_ms(mut self, ms: u64) -> Self {
-        self.restart_backoff_ms = ms;
-        self
-    }
-
-    /// Cooperative cancellation token, polled before and during steps.
-    pub fn cancel(mut self, cancel: Option<&'a CancelToken>) -> Self {
-        self.cancel = cancel;
-        self
-    }
-
-    /// Fault injector consulted per step attempt (keys
-    /// `island:<id>:g<generation>#a<attempt>`).
-    pub fn injector(mut self, injector: Option<&'a FaultInjector>) -> Self {
-        self.injector = injector;
-        self
-    }
-
-    /// Telemetry handle for supervision events.
-    pub fn telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.telemetry = telemetry.clone();
-        self
-    }
-
-    /// Derives the initial island states: per-island RNG streams are
-    /// seeded by consecutive draws from the outer RNG, in id order, so
-    /// the topology fully determines every stream.
-    pub fn init_state(
-        engine: &GpEngine<'_>,
-        topology: &IslandTopology,
-        rng: &mut StdRng,
-    ) -> IslandsState {
-        let islands = (0..topology.islands.max(1))
-            .map(|id| Island {
-                id,
-                gp: engine.init_state(StdRng::seed_from_u64(rng.gen())),
-                status: IslandStatus::Active,
-                restarts: 0,
-            })
-            .collect();
-        IslandsState {
-            islands,
-            round: 0,
-            ledger: Vec::new(),
-        }
-    }
-
-    fn is_cancelled(&self) -> bool {
-        self.cancel.is_some_and(CancelToken::is_cancelled)
     }
 
     /// Advances every active island by one generation, then (on migration
     /// rounds) exchanges elites. All-or-nothing: an interrupted round
     /// commits nothing.
-    pub fn round<F: FitnessFn>(&mut self, state: &mut IslandsState, fitness: &F) -> RoundStatus {
+    pub(crate) fn round(&mut self, state: &mut IslandsState) -> RoundStatus {
+        self.executor.prepare_round(&self.sup);
         let active = state.active();
         if active.is_empty() {
             return RoundStatus::Done;
         }
-        if self.is_cancelled() {
+        if self.sup.is_cancelled() {
             return RoundStatus::Interrupted;
         }
 
+        // Deterministic assignment: island `i` is stepped in batch
+        // `i % workers`, whatever the fleet's health history. Results never
+        // depend on it, but process-mode fault keys name the batch's worker.
+        let workers = self.sup.workers;
+        let batches: Vec<Vec<usize>> = (0..workers)
+            .map(|w| {
+                active
+                    .iter()
+                    .copied()
+                    .filter(|id| id % workers == w)
+                    .collect()
+            })
+            .collect();
+        let round = state.round + 1;
         let watch = &RoundWatch::new(
-            "island",
-            state.islands.len(),
-            self.heartbeat_deadline_ms,
-            &self.telemetry,
+            E::NOUN,
+            E::slots(state.islands.len(), workers),
+            self.sup.heartbeat_deadline_ms,
+            &self.sup.telemetry,
         );
-        let mut outcomes: Vec<Option<StepOutcome>> = active.iter().map(|_| None).collect();
-        let workers = self.workers.min(active.len()).max(1);
-        let chunk = active.len().div_ceil(workers);
-        let this = &*self;
-        let refs: Vec<&Island> = active.iter().map(|&id| &state.islands[id]).collect();
+        let mut outcomes: Vec<Batch<E::Tally>> = (0..workers).map(|_| Batch::default()).collect();
+        let (sup, executor, islands) = (&self.sup, &self.executor, &state.islands);
         std::thread::scope(|s| {
-            for (island_chunk, out_chunk) in refs.chunks(chunk).zip(outcomes.chunks_mut(chunk)) {
+            for ((w, batch), out) in batches.iter().enumerate().zip(outcomes.iter_mut()) {
+                if batch.is_empty() {
+                    continue;
+                }
+                let batch = executor.stage(batch.iter().map(|&id| &islands[id]).collect());
                 let in_flight = watch.dispatch();
                 s.spawn(move || {
                     let _in_flight = in_flight;
-                    for (island, slot) in island_chunk.iter().zip(out_chunk.iter_mut()) {
-                        watch.beat(island.id);
-                        let outcome = this.step_island(island, fitness, watch);
-                        watch.done(island.id, outcome.step_us);
-                        let stop = outcome.interrupted;
-                        *slot = Some(outcome);
-                        if stop {
-                            break;
-                        }
-                    }
+                    *out = executor.step_batch(sup, w, round, batch, watch);
                 });
             }
             watch.wait();
         });
 
-        // An interrupted step poisons the whole round: committing a
+        // An interrupted batch poisons the whole round: committing a
         // partial round would make the boundary worker-count-dependent.
-        if outcomes
-            .iter()
-            .any(|o| o.as_ref().is_none_or(|o| o.interrupted))
-            || self.is_cancelled()
-        {
+        if outcomes.iter().any(|o| o.interrupted) || self.sup.is_cancelled() {
             return RoundStatus::Interrupted;
+        }
+        for (w, out) in outcomes.iter().enumerate() {
+            self.executor
+                .report(&self.sup, w, round, batches[w].len(), &out.tally);
         }
 
         // Deterministic commit, in island-id order (`active` ascends).
-        for (pos, &id) in active.iter().enumerate() {
-            let outcome = outcomes[pos].take().expect("uninterrupted outcome present");
-            self.step_us[id] += outcome.step_us;
+        let mut steps: Vec<Option<IslandStep>> = state.islands.iter().map(|_| None).collect();
+        for (batch, out) in batches.iter().zip(outcomes) {
+            for (&id, step) in batch.iter().zip(out.steps) {
+                steps[id] = Some(step);
+            }
+        }
+        let telemetry = &self.sup.telemetry;
+        for &id in &active {
+            let step = steps[id]
+                .take()
+                .expect("an uninterrupted round steps every active island");
+            self.step_us[id] += step.step_us;
             let island = &mut state.islands[id];
-            if outcome.restarts > 0 {
-                island.restarts += outcome.restarts;
-                self.telemetry
+            if step.restarts > 0 {
+                island.restarts += step.restarts;
+                telemetry
                     .event("island_restart")
                     .u64("island", id as u64)
                     .u64("generation", (island.gp.generations + 1) as u64)
-                    .u64("restarts", outcome.restarts as u64)
+                    .u64("restarts", step.restarts as u64)
                     .emit();
-                self.telemetry
-                    .counter_add("island.restarts", outcome.restarts as u64);
+                telemetry.counter_add("island.restarts", step.restarts as u64);
             }
-            match outcome.stepped {
-                Some((gp, status)) => {
-                    island.commit(gp, status == GpStatus::Converged, &self.telemetry);
-                }
-                None => {
-                    let cause = format!("{} crashed attempt(s)", island.restarts);
-                    island.freeze(&cause, &self.telemetry);
+            match step.result {
+                Ok((gp, converged)) => island.commit(gp, converged, telemetry),
+                Err(cause) => island.freeze(&cause, telemetry),
+            }
+        }
+        state.end_round(self.sup.topology.migration_every, telemetry)
+    }
+
+    /// Merges the islands into one [`GpRun`]: best individual across all
+    /// islands (parsimony-aware, ties to the lowest island id — frozen
+    /// islands included), summed counters. Emits one `island_done` event
+    /// per island so the report can name the slowest.
+    pub(crate) fn merge(&self, state: &IslandsState) -> GpRun {
+        let parsimony = self.sup.engine.config().parsimony;
+        let mut best: Option<Evaluated> = None;
+        for island in &state.islands {
+            self.sup
+                .telemetry
+                .event("island_done")
+                .u64("island", island.id as u64)
+                .str("status", island.status.as_str())
+                .u64("generations", island.gp.generations as u64)
+                .u64("restarts", island.restarts as u64)
+                .u64("step_us", self.step_us.get(island.id).copied().unwrap_or(0))
+                .emit();
+            if let Some(candidate) = &island.gp.best {
+                if best
+                    .as_ref()
+                    .is_none_or(|b| candidate.better_than_with(b, parsimony))
+                {
+                    best = Some(candidate.clone());
                 }
             }
         }
-        state.end_round(self.topology.migration_every, &self.telemetry)
+        GpRun {
+            best,
+            generations: state.generations(),
+            evaluations: state.islands.iter().map(|i| i.gp.evaluations).sum(),
+            panics: state.islands.iter().map(|i| i.gp.panics).sum(),
+        }
     }
 
-    /// Supervised single-island step: clone the committed state, attempt
-    /// the generation, retry crashed attempts with bounded backoff.
-    fn step_island<F: FitnessFn>(
+    /// Releases the executor. Callers run it on every exit path, so worker
+    /// processes are shut down gracefully rather than killed on drop.
+    pub(crate) fn shutdown(self) {
+        self.executor.shutdown(&self.sup);
+    }
+}
+
+/// Steps a batch on this process's threads. Each island steps on a clone
+/// of its committed state; a crashed attempt (injected kill or an escaped
+/// panic) is retried under `island:<id>:g<generation>#a<attempt>` fault
+/// keys with bounded backoff and recorded in [`Island::restarts`]; after
+/// [`IslandTopology::restart_limit`] + 1 crashed attempts only that island
+/// freezes.
+pub(crate) struct InThread<'f, F>(pub(crate) &'f F);
+
+impl<F: FitnessFn> StepExecutor for InThread<'_, F> {
+    type Tally = ();
+    type Staged<'s> = Vec<&'s Island>;
+    const NOUN: &'static str = "island";
+
+    fn slots(islands: usize, _workers: usize) -> usize {
+        islands
+    }
+
+    fn stage<'s>(&self, batch: Vec<&'s Island>) -> Vec<&'s Island> {
+        batch
+    }
+
+    fn step_batch(
         &self,
-        island: &Island,
-        fitness: &F,
+        sup: &Supervision<'_, '_>,
+        _w: usize,
+        _round: usize,
+        batch: Vec<&Island>,
         watch: &RoundWatch<'_>,
-    ) -> StepOutcome {
-        let started = Instant::now();
+    ) -> Batch<()> {
+        let mut out = Batch::default();
+        for island in batch {
+            let started = Instant::now();
+            watch.beat(island.id);
+            let stepped = self.step_island(sup, island, watch);
+            let step_us = started.elapsed().as_micros() as u64;
+            watch.done(island.id, step_us);
+            let Some((result, restarts)) = stepped else {
+                out.interrupted = true;
+                break;
+            };
+            out.steps.push(IslandStep {
+                result,
+                restarts,
+                step_us,
+            });
+        }
+        out
+    }
+}
+
+impl<F: FitnessFn> InThread<'_, F> {
+    /// One island's attempts: the stepped state (or the freeze cause) and
+    /// the crashed attempts absorbed, or `None` when cancellation
+    /// interrupted the step.
+    fn step_island(
+        &self,
+        sup: &Supervision<'_, '_>,
+        island: &Island,
+        watch: &RoundWatch<'_>,
+    ) -> Option<(Stepped, usize)> {
         let generation = island.gp.generations + 1;
         let mut failures = 0usize;
-        let (stepped, interrupted) = loop {
-            if self.is_cancelled() {
-                break (None, true);
+        loop {
+            if sup.is_cancelled() {
+                return None;
             }
             let attempt = failures + 1;
-            let fault = self.injector.and_then(|inj| {
+            let fault = sup.injector.and_then(|inj| {
                 inj.fire(&format!("island:{}:g{generation}#a{attempt}", island.id))
             });
             // A slow heartbeat delays the check-in itself; a stall hangs
@@ -762,7 +906,7 @@ impl<'a, 'g> IslandCoordinator<'a, 'g> {
                     std::thread::sleep(Duration::from_millis(ms));
                 }
                 Some(FaultKind::Cancel) => {
-                    if let Some(cancel) = self.cancel {
+                    if let Some(cancel) = sup.cancel {
                         cancel.cancel();
                     }
                 }
@@ -771,54 +915,36 @@ impl<'a, 'g> IslandCoordinator<'a, 'g> {
             let crashed = matches!(fault, Some(FaultKind::IslandKill | FaultKind::Panic));
             if !crashed {
                 // Step on a clone; the committed state is untouched until
-                // the coordinator adopts the result — the island's "last
+                // the supervisor adopts the result — the island's "last
                 // atomic checkpoint" is always intact to restart from.
                 let mut trial = island.gp.clone();
-                let engine = self.engine;
-                let cancel = self.cancel;
+                let (engine, fitness, cancel) = (sup.engine, self.0, sup.cancel);
                 let result = catch_unwind(AssertUnwindSafe(move || {
                     let status = engine.step_cancellable(&mut trial, fitness, cancel);
                     (trial, status)
                 }));
                 match result {
-                    Ok((trial, Some(status))) => break (Some((trial, status)), false),
-                    Ok((_, None)) => break (None, true),
+                    Ok((trial, Some(status))) => {
+                        return Some((Ok((trial, status == GpStatus::Converged)), failures))
+                    }
+                    Ok((_, None)) => return None,
                     // A panic that escaped the engine's own quarantine:
                     // treat it as a worker crash and retry.
                     Err(_) => {}
                 }
             }
             failures += 1;
-            if failures > self.topology.restart_limit {
-                break (None, false);
+            if failures > sup.topology.restart_limit {
+                let cause = format!("{} crashed attempt(s)", island.restarts + failures);
+                return Some((Err(cause), failures));
             }
-            back_off(self.restart_backoff_ms, failures);
-        };
-        StepOutcome {
-            stepped,
-            restarts: failures,
-            interrupted,
-            step_us: started.elapsed().as_micros() as u64,
+            back_off(failures);
         }
-    }
-
-    /// Merges the islands into one [`GpRun`]: best individual across all
-    /// islands (parsimony-aware, ties to the lowest island id — frozen
-    /// islands included), summed counters. Emits one `island_done` event
-    /// per island so the report can name the slowest.
-    pub fn merge(&self, state: &IslandsState) -> GpRun {
-        merge_islands(
-            state,
-            self.engine.config().parsimony,
-            &self.step_us,
-            &self.telemetry,
-        )
     }
 }
 
-/// The shared migration policy, run by [`IslandsState::end_round`] for
-/// both the thread-level [`IslandCoordinator`] and the process-level
-/// [`super::worker_proc::ProcSupervisor`] so the two modes cannot drift:
+/// The shared migration policy, run by [`IslandsState::end_round`] after
+/// every committed round whichever executor stepped it:
 /// island `i` clones its best into the last population slot of island
 /// `(i + 1) % n` (a deterministic ring), every exchange recorded in the
 /// digest-sealed ledger. Frozen and converged islands send but do not
@@ -855,42 +981,6 @@ fn migrate_ring(state: &mut IslandsState, telemetry: &Telemetry) {
             .f64("quality", best.quality)
             .emit();
         telemetry.counter_add("island.migrations", 1);
-    }
-}
-
-/// The shared merge policy: best individual across all islands
-/// (parsimony-aware, ties to the lowest island id — frozen islands
-/// included), summed counters, one `island_done` event per island.
-pub(crate) fn merge_islands(
-    state: &IslandsState,
-    parsimony: bool,
-    step_us: &[u64],
-    telemetry: &Telemetry,
-) -> GpRun {
-    let mut best: Option<Evaluated> = None;
-    for island in &state.islands {
-        telemetry
-            .event("island_done")
-            .u64("island", island.id as u64)
-            .str("status", island.status.as_str())
-            .u64("generations", island.gp.generations as u64)
-            .u64("restarts", island.restarts as u64)
-            .u64("step_us", step_us.get(island.id).copied().unwrap_or(0))
-            .emit();
-        if let Some(candidate) = &island.gp.best {
-            if best
-                .as_ref()
-                .is_none_or(|b| candidate.better_than_with(b, parsimony))
-            {
-                best = Some(candidate.clone());
-            }
-        }
-    }
-    GpRun {
-        best,
-        generations: state.generations(),
-        evaluations: state.islands.iter().map(|i| i.gp.evaluations).sum(),
-        panics: state.islands.iter().map(|i| i.gp.panics).sum(),
     }
 }
 
@@ -934,19 +1024,25 @@ mod tests {
         injector: Option<&FaultInjector>,
     ) -> (IslandsState, GpRun) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut state = IslandCoordinator::init_state(engine, &topology, &mut rng);
-        let mut coordinator = IslandCoordinator::new(engine, topology)
-            .workers(workers)
-            .restart_backoff_ms(0)
-            .injector(injector);
+        let mut state = IslandsState::init(engine, &topology, &mut rng);
+        let sup = Supervision {
+            engine,
+            topology,
+            workers,
+            heartbeat_deadline_ms: 2_000,
+            cancel: None,
+            injector,
+            telemetry: Telemetry::disabled(),
+        };
+        let mut supervisor = IslandSupervisor::new(sup, InThread(fitness));
         loop {
-            match coordinator.round(&mut state, fitness) {
+            match supervisor.round(&mut state) {
                 RoundStatus::Running => {}
                 RoundStatus::Done => break,
                 RoundStatus::Interrupted => panic!("no cancellation in this test"),
             }
         }
-        let run = coordinator.merge(&state);
+        let run = supervisor.merge(&state);
         (state, run)
     }
 

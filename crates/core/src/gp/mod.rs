@@ -15,14 +15,13 @@
 //! - [`island`] scales the loop out: N supervised island populations on
 //!   isolated RNG streams, deterministic ring migration, restart-with-
 //!   backoff and freeze-on-repeated-failure — byte-identical results for
-//!   a given (seed, topology) at any worker count.
-
-//!
+//!   a given (seed, topology) at any worker count. One supervisor runs
+//!   every round over a step executor: threads of this process, or the
+//!   worker processes of [`worker_proc`].
 //! - [`transport`] and [`worker_proc`] move the islands across a process
 //!   boundary: a length-prefixed, digest-sealed frame protocol and a
-//!   supervisor/worker runtime with reconnect, respawn and
-//!   freeze-but-merge degradation — still byte-identical to the
-//!   in-process coordinator.
+//!   worker runtime with reconnect, respawn and freeze-but-merge
+//!   degradation — still byte-identical to stepping in threads.
 
 pub mod engine;
 pub mod island;
@@ -32,11 +31,8 @@ pub mod worker_proc;
 
 pub use engine::{Evaluated, FitnessFn, GenStats, GpConfig, GpEngine, GpRun};
 pub use island::{
-    IslandCoordinator, IslandStatus, IslandTopology, IslandsSnapshot, IslandsState,
-    MigrationRecord, RoundStatus,
+    IslandStatus, IslandTopology, IslandsSnapshot, IslandsState, MigrationRecord, RoundStatus,
 };
 pub use ops::{crossover, mutate};
 pub use transport::{FrameTransport, LoopbackTransport, StreamTransport, TransportError};
-pub use worker_proc::{
-    run_stdio_worker, ChannelKind, ProcSupervisor, WorkerError, WorkerLauncher, WorkerSpec,
-};
+pub use worker_proc::{run_stdio_worker, ChannelKind, WorkerError, WorkerLauncher, WorkerSpec};

@@ -1,7 +1,7 @@
 //! Process-level island workers under a supervising parent.
 //!
-//! This module promotes the thread-level [`super::island::IslandCoordinator`]
-//! to a supervisor/worker architecture: islands are stepped by separate OS
+//! This module is the process-mode step executor of the one island
+//! supervisor in [`super::island`]: islands are stepped by separate OS
 //! processes (or in-process loopback workers that speak the identical byte
 //! protocol) connected to the supervisor by the frame transport of
 //! [`super::transport`]. The payloads are JSON-encoded [`WireMsg`]s carrying
@@ -18,12 +18,14 @@
 //! state exactly one generation. It holds no retry logic, no timers, no
 //! policy — if anything is wrong it exits with a typed [`WorkerError`].
 //!
-//! The **supervisor** owns all robustness policy: per-worker heartbeat
-//! deadlines, frame-level validation (never trust a byte off the wire),
-//! retry-with-backoff respawn from the last committed round, and a bounded
-//! reconnect window after which a worker's islands are **frozen** — still
-//! merged, never silently dropped. The degradation ladder is
-//! `retry → respawn → freeze-but-merge`.
+//! The **supervisor side** owns all robustness policy. The island
+//! supervisor's round — assignment, per-worker heartbeat deadlines,
+//! discard, commit, migration, merge — is shared with thread mode; this
+//! module's `WorkerFleet` adds frame-level validation (never trust a byte
+//! off the wire), retry-with-backoff respawn from the last committed
+//! round, and a bounded reconnect window after which a worker's islands
+//! are **frozen** — still merged, never silently dropped. The degradation
+//! ladder is `retry → respawn → freeze-but-merge`.
 //!
 //! # Determinism
 //!
@@ -40,22 +42,22 @@
 //!   so transient kills, torn frames and duplicate frames are invisible in
 //!   results. Worker respawns and reconnects are *telemetry-only* — they
 //!   are never written into island state (unlike island-level fitness
-//!   crashes, which the thread coordinator records; transport faults are
+//!   crashes, which the thread executor records; transport faults are
 //!   infrastructure, not search events).
 //! - **Faults are keyed, not timed**: the injector is consulted once per
 //!   worker batch attempt under `worker:<id>:round<r>#a<attempt>`, so a
 //!   schedule reproduces identically at any speed.
 //! - **Exhaustion freezes deterministically.** For a fixed schedule and
 //!   worker count, which islands freeze is a function of the schedule alone
-//!   (and freezing *is* recorded in state, exactly as the thread
-//!   coordinator records it).
+//!   (and freezing *is* recorded in state, by the same commit that records
+//!   a thread-mode freeze).
 //! - **Cancellation discards whole rounds**: an interrupted round commits
 //!   nothing; the state sits at the previous round boundary.
 
-use crate::faults::{stable_hash, CancelToken, FaultInjector, FaultKind};
-use crate::gp::engine::{GpEngine, GpRun, GpState, GpStatus};
+use crate::faults::{stable_hash, FaultKind};
+use crate::gp::engine::{GpEngine, GpState, GpStatus};
 use crate::gp::island::{
-    back_off, merge_islands, IslandSnapshot, IslandTopology, IslandsState, RoundStatus, RoundWatch,
+    back_off, Batch, Island, IslandSnapshot, IslandStep, RoundWatch, StepExecutor, Supervision,
 };
 use crate::gp::transport::{
     duplex, FrameTransport, SendFault, StreamTransport, TransportError, TransportStats,
@@ -571,21 +573,12 @@ impl Drop for WorkerHandle {
     }
 }
 
-/// One island stepped by a worker, validated and decoded, awaiting the
-/// round's barrier commit.
-struct SteppedIsland {
-    id: usize,
-    gp: GpState,
-    converged: bool,
-    step_us: u64,
-}
-
-/// What one worker's batch attempt sequence left behind.
+/// Worker-level resilience tallies of one batch. Telemetry only: respawns
+/// and reconnects never enter island state, so a transiently flaky
+/// transport is byte-invisible.
 #[derive(Default)]
-struct BatchOutcome {
-    stepped: Vec<SteppedIsland>,
+pub(crate) struct FleetTally {
     frozen: bool,
-    interrupted: bool,
     respawns: u64,
     reconnects: u64,
     digest_rejections: u64,
@@ -612,233 +605,31 @@ enum ConnectError {
     Failed,
 }
 
-/// The supervising parent: drives rounds over a fleet of worker
-/// connections, owning heartbeats, respawn/backoff and the freeze policy.
-/// The structural twin of [`super::island::IslandCoordinator`] with the
-/// step function moved across a process boundary.
-pub struct ProcSupervisor<'a> {
+/// The process-mode step executor of the island supervisor: batch `w` is
+/// stepped by worker `w` over a connection kept across rounds. Each batch
+/// attempt consults the fault injector under
+/// `worker:<w>:round<r>#a<attempt>` and climbs the
+/// retry → respawn → freeze-the-batch ladder.
+pub(crate) struct WorkerFleet {
     spec: WorkerSpec,
     spec_digest: u64,
     launcher: WorkerLauncher,
-    topology: IslandTopology,
-    workers: usize,
-    heartbeat_deadline_ms: u64,
-    backoff_ms: u64,
-    cancel: Option<&'a CancelToken>,
-    injector: Option<&'a FaultInjector>,
-    telemetry: Telemetry,
-    /// Per-worker connections, kept across rounds. Mutex-wrapped so one
-    /// batch thread per slot can drive its connection while the supervisor
-    /// is shared immutably — a slot is only ever contended at shutdown.
+    /// Per-worker connections, empty until the first round. Mutex-wrapped
+    /// so one batch thread per slot can drive its connection while the
+    /// fleet is shared immutably — a slot is never contended.
     handles: Vec<Mutex<Option<WorkerHandle>>>,
-    step_us: Vec<u64>,
-    parsimony: bool,
-    started: bool,
 }
 
-impl<'a> ProcSupervisor<'a> {
-    /// A supervisor stepping `topology` islands with workers built from
-    /// `spec` via `launcher`. Defaults: one worker, 2 s heartbeat deadline,
-    /// 1 ms backoff base.
-    pub fn new(spec: WorkerSpec, launcher: WorkerLauncher, topology: IslandTopology) -> Self {
-        let islands = topology.islands.max(1);
-        let parsimony = spec.config.gp.parsimony;
+impl WorkerFleet {
+    /// A fleet of workers built from `spec` via `launcher`.
+    pub(crate) fn new(spec: WorkerSpec, launcher: WorkerLauncher) -> Self {
         let spec_digest = spec.digest();
-        ProcSupervisor {
+        WorkerFleet {
             spec,
             spec_digest,
             launcher,
-            topology,
-            workers: 1,
-            heartbeat_deadline_ms: 2_000,
-            backoff_ms: 1,
-            cancel: None,
-            injector: None,
-            telemetry: Telemetry::disabled(),
             handles: Vec::new(),
-            step_us: vec![0; islands],
-            parsimony,
-            started: false,
         }
-    }
-
-    /// Worker process count (execution knob: any value produces
-    /// byte-identical results and checkpoints).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Heartbeat deadline in milliseconds; 0 disables the monitor.
-    /// Observational only — a missed deadline is reported, never acted on.
-    pub fn heartbeat_deadline_ms(mut self, ms: u64) -> Self {
-        self.heartbeat_deadline_ms = ms;
-        self
-    }
-
-    /// Base backoff (milliseconds) between reconnect attempts; grows
-    /// exponentially per consecutive failure, capped at 2 s.
-    pub fn backoff_ms(mut self, ms: u64) -> Self {
-        self.backoff_ms = ms;
-        self
-    }
-
-    /// Cooperative cancellation token, polled at attempt boundaries.
-    pub fn cancel(mut self, cancel: Option<&'a CancelToken>) -> Self {
-        self.cancel = cancel;
-        self
-    }
-
-    /// Fault injector consulted once per worker batch attempt (keys
-    /// `worker:<id>:round<r>#a<attempt>`).
-    pub fn injector(mut self, injector: Option<&'a FaultInjector>) -> Self {
-        self.injector = injector;
-        self
-    }
-
-    /// Telemetry handle for supervision events.
-    pub fn telemetry(mut self, telemetry: &Telemetry) -> Self {
-        self.telemetry = telemetry.clone();
-        self
-    }
-
-    fn is_cancelled(&self) -> bool {
-        self.cancel.is_some_and(CancelToken::is_cancelled)
-    }
-
-    /// Advances every active island by one generation through the worker
-    /// fleet, then (on migration rounds) exchanges elites. All-or-nothing:
-    /// an interrupted round commits nothing.
-    pub fn round(&mut self, state: &mut IslandsState) -> RoundStatus {
-        if !self.started {
-            self.started = true;
-            self.telemetry
-                .event("workers_start")
-                .u64("workers", self.workers as u64)
-                .str("launcher", self.launcher.kind())
-                .u64("reconnect_limit", self.topology.restart_limit as u64)
-                .emit();
-        }
-        let active = state.active();
-        if active.is_empty() {
-            return RoundStatus::Done;
-        }
-        if self.is_cancelled() {
-            return RoundStatus::Interrupted;
-        }
-
-        // Deterministic assignment: island `i` is stepped by worker
-        // `i % workers`, whatever the fleet's health history.
-        let workers = self.workers;
-        let batches: Vec<Vec<usize>> = (0..workers)
-            .map(|w| {
-                active
-                    .iter()
-                    .copied()
-                    .filter(|id| id % workers == w)
-                    .collect()
-            })
-            .collect();
-        while self.handles.len() < workers {
-            self.handles.push(Mutex::new(None));
-        }
-        let round = state.round + 1;
-        let watch = &RoundWatch::new(
-            "worker",
-            workers,
-            self.heartbeat_deadline_ms,
-            &self.telemetry,
-        );
-        let mut outcomes: Vec<BatchOutcome> = (0..workers).map(|_| BatchOutcome::default()).collect();
-        let this = &*self;
-        std::thread::scope(|s| {
-            for ((w, batch), out) in batches.iter().enumerate().zip(outcomes.iter_mut()) {
-                if batch.is_empty() {
-                    continue;
-                }
-                let islands: Vec<IslandSnapshot> = batch
-                    .iter()
-                    .map(|&id| state.islands[id].snapshot())
-                    .collect();
-                let in_flight = watch.dispatch();
-                s.spawn(move || {
-                    let _in_flight = in_flight;
-                    watch.beat(w);
-                    let mut slot = this.handles[w].lock().expect("worker slot lock");
-                    *out = this.run_batch(w, round, &islands, &mut slot, watch);
-                    drop(slot);
-                    watch.done(w, out.stepped.iter().map(|s| s.step_us).sum());
-                });
-            }
-            watch.wait();
-        });
-
-        // An interrupted batch poisons the whole round: committing a
-        // partial round would make the boundary worker-count-dependent.
-        if outcomes.iter().any(|o| o.interrupted) || self.is_cancelled() {
-            return RoundStatus::Interrupted;
-        }
-
-        // Worker-level resilience telemetry, in worker-id order. All of it
-        // is observational: respawns and reconnects never enter island
-        // state, so a transiently flaky transport is byte-invisible.
-        for (w, out) in outcomes.iter().enumerate() {
-            if out.respawns > 0 {
-                self.telemetry
-                    .event("worker_respawn")
-                    .u64("worker", w as u64)
-                    .u64("round", round as u64)
-                    .u64("respawns", out.respawns)
-                    .emit();
-                self.telemetry.counter_add("worker.respawns", out.respawns);
-            }
-            if out.reconnects > 0 {
-                self.telemetry
-                    .event("worker_reconnect")
-                    .u64("worker", w as u64)
-                    .u64("round", round as u64)
-                    .u64("reconnects", out.reconnects)
-                    .emit();
-                self.telemetry
-                    .counter_add("worker.reconnects", out.reconnects);
-            }
-            if out.digest_rejections > 0 {
-                self.telemetry
-                    .counter_add("worker.digest_rejections", out.digest_rejections);
-            }
-            record_frames(&self.telemetry, out.frames);
-            if out.frozen {
-                self.telemetry
-                    .event("worker_frozen")
-                    .u64("worker", w as u64)
-                    .u64("round", round as u64)
-                    .u64("islands", batches[w].len() as u64)
-                    .emit();
-                self.telemetry
-                    .counter_add("worker.frozen_islands", batches[w].len() as u64);
-            }
-        }
-
-        // Deterministic commit, in island-id order (`active` ascends).
-        for &id in &active {
-            let w = id % workers;
-            let out = &mut outcomes[w];
-            let island = &mut state.islands[id];
-            if out.frozen {
-                let cause = format!("worker {w} exhausted its reconnect window");
-                island.freeze(&cause, &self.telemetry);
-                continue;
-            }
-            let pos = out
-                .stepped
-                .iter()
-                .position(|s| s.id == id)
-                .expect("uninterrupted, unfrozen batch stepped all its islands");
-            let stepped = out.stepped.swap_remove(pos);
-            self.step_us[id] += stepped.step_us;
-            island.commit(stepped.gp, stepped.converged, &self.telemetry);
-        }
-        state.end_round(self.topology.migration_every, &self.telemetry)
     }
 
     /// One worker's batch for one round: the retry → respawn → freeze
@@ -846,30 +637,39 @@ impl<'a> ProcSupervisor<'a> {
     /// committed snapshots, so partial progress can never leak.
     fn run_batch(
         &self,
+        sup: &Supervision<'_, '_>,
         w: usize,
         round: usize,
         islands: &[IslandSnapshot],
         slot: &mut Option<WorkerHandle>,
         watch: &RoundWatch<'_>,
-    ) -> BatchOutcome {
-        let mut out = BatchOutcome::default();
+    ) -> Batch<FleetTally> {
+        let mut out = Batch::default();
         let mut attempt = 0usize;
         loop {
-            if self.is_cancelled() {
+            if sup.is_cancelled() {
                 out.interrupted = true;
                 return out;
             }
             attempt += 1;
-            if attempt > self.topology.restart_limit + 1 {
+            if attempt > sup.topology.restart_limit + 1 {
                 // Reconnect window exhausted: freeze-but-merge.
-                out.frozen = true;
+                out.tally.frozen = true;
+                out.steps = islands
+                    .iter()
+                    .map(|_| IslandStep {
+                        result: Err(format!("worker {w} exhausted its reconnect window")),
+                        restarts: 0,
+                        step_us: 0,
+                    })
+                    .collect();
                 return out;
             }
             let key = format!("worker:{w}:round{round}#a{attempt}");
             let mut first_send = SendFault::Clean;
             let mut kill = false;
             let mut slow_handshake_ms = 0u64;
-            if let Some(injector) = self.injector {
+            if let Some(injector) = sup.injector {
                 for fault in injector.fire_all(&key) {
                     match fault {
                         FaultKind::KillWorker => kill = true,
@@ -884,7 +684,7 @@ impl<'a> ProcSupervisor<'a> {
                             std::thread::sleep(Duration::from_millis(ms));
                         }
                         FaultKind::Cancel => {
-                            if let Some(cancel) = self.cancel {
+                            if let Some(cancel) = sup.cancel {
                                 cancel.cancel();
                             }
                         }
@@ -896,10 +696,10 @@ impl<'a> ProcSupervisor<'a> {
                 // The worker dies before (or instead of) serving this
                 // attempt; sever and respawn on the next one.
                 if let Some(mut handle) = slot.take() {
-                    add_stats(&mut out.frames, handle.drain_stats());
+                    add_stats(&mut out.tally.frames, handle.drain_stats());
                 }
-                out.respawns += 1;
-                back_off(self.backoff_ms, attempt);
+                out.tally.respawns += 1;
+                back_off(attempt);
                 continue;
             }
             if slot.is_none() {
@@ -910,26 +710,26 @@ impl<'a> ProcSupervisor<'a> {
                     Ok(handle) => {
                         *slot = Some(handle);
                         if attempt > 1 {
-                            out.reconnects += 1;
+                            out.tally.reconnects += 1;
                         }
                     }
                     Err(ConnectError::DigestRejected) => {
-                        out.digest_rejections += 1;
-                        back_off(self.backoff_ms, attempt);
+                        out.tally.digest_rejections += 1;
+                        back_off(attempt);
                         continue;
                     }
                     Err(ConnectError::Failed) => {
-                        back_off(self.backoff_ms, attempt);
+                        back_off(attempt);
                         continue;
                     }
                 }
             }
             let handle = slot.as_mut().expect("connected above");
             watch.beat(w);
-            match step_batch(handle, islands, first_send, watch, w) {
-                Ok(stepped) => {
-                    out.stepped = stepped;
-                    add_stats(&mut out.frames, handle.drain_stats());
+            match request_steps(handle, islands, first_send, watch, w) {
+                Ok(steps) => {
+                    out.steps = steps;
+                    add_stats(&mut out.tally.frames, handle.drain_stats());
                     return out;
                 }
                 Err(_) => {
@@ -937,10 +737,10 @@ impl<'a> ProcSupervisor<'a> {
                     // resync): absorb its counters, sever, retry from the
                     // committed round.
                     if let Some(mut handle) = slot.take() {
-                        add_stats(&mut out.frames, handle.drain_stats());
+                        add_stats(&mut out.tally.frames, handle.drain_stats());
                     }
-                    out.respawns += 1;
-                    back_off(self.backoff_ms, attempt);
+                    out.tally.respawns += 1;
+                    back_off(attempt);
                 }
             }
         }
@@ -964,29 +764,109 @@ impl<'a> ProcSupervisor<'a> {
             _ => Err(ConnectError::Failed),
         }
     }
+}
 
-    /// Merges the islands into one [`GpRun`] — the shared policy of
-    /// [`merge_islands`], so process-mode merges cannot drift from
-    /// thread-mode ones.
-    pub fn merge(&self, state: &IslandsState) -> GpRun {
-        merge_islands(state, self.parsimony, &self.step_us, &self.telemetry)
+impl StepExecutor for WorkerFleet {
+    type Tally = FleetTally;
+    type Staged<'s> = Vec<IslandSnapshot>;
+    const NOUN: &'static str = "worker";
+
+    fn slots(_islands: usize, workers: usize) -> usize {
+        workers
+    }
+
+    /// Snapshots the batch's committed states: the payloads every attempt
+    /// of the batch re-sends.
+    fn stage(&self, batch: Vec<&Island>) -> Vec<IslandSnapshot> {
+        batch.iter().map(|island| island.snapshot()).collect()
+    }
+
+    fn prepare_round(&mut self, sup: &Supervision<'_, '_>) {
+        if self.handles.is_empty() {
+            sup.telemetry
+                .event("workers_start")
+                .u64("workers", sup.workers as u64)
+                .str("launcher", self.launcher.kind())
+                .u64("reconnect_limit", sup.topology.restart_limit as u64)
+                .emit();
+        }
+        self.handles.resize_with(sup.workers, || Mutex::new(None));
+    }
+
+    fn step_batch(
+        &self,
+        sup: &Supervision<'_, '_>,
+        w: usize,
+        round: usize,
+        islands: Vec<IslandSnapshot>,
+        watch: &RoundWatch<'_>,
+    ) -> Batch<FleetTally> {
+        watch.beat(w);
+        let mut slot = self.handles[w].lock().expect("worker slot lock");
+        let out = self.run_batch(sup, w, round, &islands, &mut slot, watch);
+        drop(slot);
+        watch.done(w, out.steps.iter().map(|s| s.step_us).sum());
+        out
+    }
+
+    fn report(
+        &self,
+        sup: &Supervision<'_, '_>,
+        w: usize,
+        round: usize,
+        islands: usize,
+        tally: &FleetTally,
+    ) {
+        let telemetry = &sup.telemetry;
+        if tally.respawns > 0 {
+            telemetry
+                .event("worker_respawn")
+                .u64("worker", w as u64)
+                .u64("round", round as u64)
+                .u64("respawns", tally.respawns)
+                .emit();
+            telemetry.counter_add("worker.respawns", tally.respawns);
+        }
+        if tally.reconnects > 0 {
+            telemetry
+                .event("worker_reconnect")
+                .u64("worker", w as u64)
+                .u64("round", round as u64)
+                .u64("reconnects", tally.reconnects)
+                .emit();
+            telemetry.counter_add("worker.reconnects", tally.reconnects);
+        }
+        if tally.digest_rejections > 0 {
+            telemetry.counter_add("worker.digest_rejections", tally.digest_rejections);
+        }
+        record_frames(telemetry, tally.frames);
+        if tally.frozen {
+            telemetry
+                .event("worker_frozen")
+                .u64("worker", w as u64)
+                .u64("round", round as u64)
+                .u64("islands", islands as u64)
+                .emit();
+            telemetry.counter_add("worker.frozen_islands", islands as u64);
+        }
     }
 
     /// Shuts the fleet down gracefully: `Shutdown` message, EOF, reap.
     /// Flushes the accumulated counters as `metric` events so `fegen
     /// report` can render the worker-resilience tallies offline.
-    pub fn shutdown(mut self) {
+    fn shutdown(mut self, sup: &Supervision<'_, '_>) {
+        let started = !self.handles.is_empty();
         for slot in self.handles.drain(..) {
             let slot = slot
                 .into_inner()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             if let Some(mut handle) = slot {
-                record_frames(&self.telemetry, handle.drain_stats());
+                record_frames(&sup.telemetry, handle.drain_stats());
                 handle.shutdown();
             }
         }
-        if self.started {
-            self.telemetry.emit_metrics("proc_supervisor");
+        if started {
+            sup.telemetry.emit_metrics("proc_supervisor");
         }
     }
 }
@@ -996,13 +876,13 @@ impl<'a> ProcSupervisor<'a> {
 /// it. The first send of the attempt carries the injected send fault (if
 /// any); a torn first frame therefore fails the whole attempt, which
 /// retries from the committed round.
-fn step_batch(
+fn request_steps(
     handle: &mut WorkerHandle,
     islands: &[IslandSnapshot],
     first_send: SendFault,
     watch: &RoundWatch<'_>,
     w: usize,
-) -> Result<Vec<SteppedIsland>, TransportError> {
+) -> Result<Vec<IslandStep>, TransportError> {
     let mut out = Vec::with_capacity(islands.len());
     for (pos, island) in islands.iter().enumerate() {
         let started = Instant::now();
@@ -1021,10 +901,9 @@ fn step_batch(
             } if stepped.id == island.id => {
                 let gp = GpState::from_snapshot(&stepped.gp)
                     .map_err(TransportError::Malformed)?;
-                out.push(SteppedIsland {
-                    id: stepped.id,
-                    gp,
-                    converged,
+                out.push(IslandStep {
+                    result: Ok((gp, converged)),
+                    restarts: 0,
                     step_us: started.elapsed().as_micros() as u64,
                 });
             }

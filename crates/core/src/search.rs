@@ -18,9 +18,10 @@ use crate::error::{CheckpointError, SearchError};
 use crate::faults::{CancelToken, FaultInjector};
 use crate::gp::engine::{GpSnapshot, GpState, GpStatus};
 use crate::gp::island::{
-    IslandCoordinator, IslandTopology, IslandsSnapshot, IslandsState, RoundStatus,
+    InThread, IslandSupervisor, IslandTopology, IslandsSnapshot, IslandsState, RoundStatus,
+    StepExecutor, Supervision,
 };
-use crate::gp::worker_proc::{ProcSupervisor, WorkerLauncher, WorkerSpec};
+use crate::gp::worker_proc::{WorkerFleet, WorkerLauncher, WorkerSpec};
 use crate::gp::{FitnessFn, GpConfig, GpEngine, GpRun};
 use crate::grammar::Grammar;
 use crate::ir::IrNode;
@@ -271,10 +272,9 @@ impl FeatureSearch {
             cancel: None,
             injector: None,
             telemetry: Telemetry::disabled(),
-            island_workers: 1,
+            workers: 1,
             heartbeat_deadline_ms: 2_000,
-            proc_workers: 1,
-            proc_launcher: None,
+            launcher: None,
         }
     }
 
@@ -628,10 +628,11 @@ pub struct SearchDriver<'a> {
     cancel: Option<CancelToken>,
     injector: Option<&'a FaultInjector>,
     telemetry: Telemetry,
-    island_workers: usize,
+    /// Island batches per round: threads, or worker processes when a
+    /// launcher is set.
+    workers: usize,
     heartbeat_deadline_ms: u64,
-    proc_workers: usize,
-    proc_launcher: Option<WorkerLauncher>,
+    launcher: Option<WorkerLauncher>,
 }
 
 impl<'a> SearchDriver<'a> {
@@ -672,14 +673,15 @@ impl<'a> SearchDriver<'a> {
         self
     }
 
-    /// Worker threads the island coordinator steps islands with. An
+    /// Workers the island supervisor steps islands with: threads, or
+    /// worker processes after [`SearchDriver::process_workers`]. An
     /// execution knob, not a search parameter: any value produces
     /// byte-identical results and checkpoints for a given
     /// [`SearchConfig::topology`] (which is why it lives on the driver,
     /// outside the config fingerprint). Ignored for single-island
     /// topologies.
     pub fn workers(mut self, workers: usize) -> Self {
-        self.island_workers = workers.max(1);
+        self.workers = workers.max(1);
         self
     }
 
@@ -691,16 +693,17 @@ impl<'a> SearchDriver<'a> {
         self
     }
 
-    /// Steps islands in separate worker processes (or loopback workers)
-    /// instead of coordinator threads. Like [`SearchDriver::workers`], this
-    /// is an execution knob, not a search parameter: for a given
-    /// [`SearchConfig::topology`] any worker count, any launcher — and the
-    /// in-process thread coordinator itself — produce byte-identical
-    /// results and checkpoints. Ignored for single-island topologies (one
-    /// island has no round structure to distribute; it runs in-process).
+    /// Steps islands in `workers` separate worker processes (or loopback
+    /// workers) instead of threads. It sets the same worker count as
+    /// [`SearchDriver::workers`], so the last call wins. Like it, this is
+    /// an execution knob, not a search parameter: for a given
+    /// [`SearchConfig::topology`] any worker count, any launcher — and
+    /// in-process threads — produce byte-identical results and
+    /// checkpoints. Ignored for single-island topologies (one island has no
+    /// round structure to distribute; it runs in-process).
     pub fn process_workers(mut self, workers: usize, launcher: WorkerLauncher) -> Self {
-        self.proc_workers = workers.max(1);
-        self.proc_launcher = Some(launcher);
+        self.workers = workers.max(1);
+        self.launcher = Some(launcher);
         self
     }
 
@@ -941,7 +944,7 @@ impl<'a> SearchDriver<'a> {
                 .u64("islands", cfg.topology.islands as u64)
                 .u64("migration_every", cfg.topology.migration_every as u64)
                 .u64("restart_limit", cfg.topology.restart_limit as u64)
-                .u64("workers", self.island_workers as u64)
+                .u64("workers", self.workers as u64)
                 .bool("resumed_mid_round", pending_islands.is_some())
                 .emit();
         }
@@ -965,7 +968,7 @@ impl<'a> SearchDriver<'a> {
             let island_state = if multi_island {
                 Some(match pending_islands.take() {
                     Some(state) => state,
-                    None => IslandCoordinator::init_state(&engine, &cfg.topology, &mut rng),
+                    None => IslandsState::init(&engine, &cfg.topology, &mut rng),
                 })
             } else {
                 None
@@ -999,26 +1002,27 @@ impl<'a> SearchDriver<'a> {
             // `InjectedFitness` and the plain closure are distinct types, so
             // the two arms instantiate the drivers separately instead of
             // erasing to `dyn` (the blanket closure impl forbids it anyway).
-            // The process-worker arm takes no fitness function at all —
-            // workers rebuild the identical harness from the wire spec, and
-            // the injector is consulted supervisor-side at transport keys.
-            let run = match (island_state, state, self.injector) {
-                (Some(islands), _, _) if self.proc_launcher.is_some() => {
-                    self.drive_islands_proc(&engine, islands, &progress, examples)
+            // The worker fleet takes no fitness function at all — workers
+            // rebuild the identical harness from the wire spec, and the
+            // injector is consulted supervisor-side at transport keys.
+            let run = match (island_state, state, self.injector, &self.launcher) {
+                (Some(islands), _, _, Some(launcher)) => {
+                    let fleet = self.worker_fleet(launcher, &engine, &progress, examples);
+                    self.drive_islands(&engine, islands, fleet, &progress)
                 }
-                (Some(islands), _, Some(injector)) => {
+                (Some(islands), _, Some(injector), None) => {
                     let wrapped = injector.wrap(&fitness);
-                    self.drive_islands(&engine, islands, &wrapped, &progress)
+                    self.drive_islands(&engine, islands, InThread(&wrapped), &progress)
                 }
-                (Some(islands), _, None) => {
-                    self.drive_islands(&engine, islands, &fitness, &progress)
+                (Some(islands), _, None, None) => {
+                    self.drive_islands(&engine, islands, InThread(&fitness), &progress)
                 }
-                (None, Some(state), Some(injector)) => {
+                (None, Some(state), Some(injector), _) => {
                     let wrapped = injector.wrap(&fitness);
                     self.drive_gp(&engine, state, &wrapped, &progress)
                 }
-                (None, Some(state), None) => self.drive_gp(&engine, state, &fitness, &progress),
-                (None, None, _) => unreachable!("exactly one GP state shape is prepared"),
+                (None, Some(state), None, _) => self.drive_gp(&engine, state, &fitness, &progress),
+                (None, None, _, _) => unreachable!("exactly one GP state shape is prepared"),
             };
             let run = match run {
                 Ok(run) => run,
@@ -1204,101 +1208,37 @@ impl<'a> SearchDriver<'a> {
     }
 
     /// Drives one multi-island GP run round by round: each round advances
-    /// every active island one generation under the coordinator's
-    /// supervision (restarts, freezes, migration), then the driver polls
-    /// for cancellation and writes periodic checkpoints — always at round
-    /// boundaries, so the checkpoint bytes are independent of the worker
-    /// count and of where a kill landed inside the round.
-    fn drive_islands<F: FitnessFn>(
+    /// every active island one generation under the supervisor (restarts,
+    /// freezes, migration), stepped in threads or worker processes as
+    /// `executor` says; then the driver polls for cancellation and writes
+    /// periodic checkpoints — always at round boundaries, so the checkpoint
+    /// bytes are independent of the executor, the worker count and of where
+    /// a kill landed inside the round.
+    fn drive_islands<E: StepExecutor>(
         &self,
         engine: &GpEngine<'_>,
         mut state: IslandsState,
-        fitness: &F,
+        executor: E,
         progress: &OuterProgress,
     ) -> Result<GpRun, SearchError> {
         let cfg = &self.search.config;
-        let mut coordinator = IslandCoordinator::new(engine, cfg.topology.clone())
-            .workers(self.island_workers)
-            .heartbeat_deadline_ms(self.heartbeat_deadline_ms)
-            .cancel(self.cancel.as_ref())
-            .injector(self.injector)
-            .telemetry(&self.telemetry);
-        let mut since_checkpoint = 0usize;
-        loop {
-            if progress.total_generations + state.generations() >= cfg.max_total_generations {
-                // Out of outer budget: merge what the islands found so far.
-                return Ok(coordinator.merge(&state));
-            }
-            match coordinator.round(&mut state, fitness) {
-                RoundStatus::Done => return Ok(coordinator.merge(&state)),
-                RoundStatus::Interrupted => {
-                    // Nothing from the broken round was committed: the
-                    // state — and therefore the checkpoint — sits at the
-                    // previous round boundary, whatever the worker count
-                    // and wherever the interruption landed.
-                    let checkpoint =
-                        self.write_checkpoint(progress, None, Some(state.snapshot()))?;
-                    return Err(SearchError::Interrupted {
-                        checkpoint,
-                        total_generations: progress.total_generations + state.generations(),
-                    });
-                }
-                RoundStatus::Running => {
-                    since_checkpoint += 1;
-                    if self.checkpoint_dir.is_some() && since_checkpoint >= self.checkpoint_every
-                    {
-                        self.write_checkpoint(progress, None, Some(state.snapshot()))?;
-                        since_checkpoint = 0;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drives one multi-island GP run with islands stepped by worker
-    /// processes behind the supervisor's frame transport. Structurally the
-    /// twin of [`SearchDriver::drive_islands`]: rounds are barriers,
-    /// checkpoints land only at round boundaries, an interrupted round is
-    /// discarded whole — so the bytes this path writes are identical to the
-    /// thread coordinator's for the same `(seed, topology)`, at any worker
-    /// count and under any injected transport fault schedule.
-    fn drive_islands_proc(
-        &self,
-        engine: &GpEngine<'_>,
-        mut state: IslandsState,
-        progress: &OuterProgress,
-        examples: &[TrainingExample],
-    ) -> Result<GpRun, SearchError> {
-        let search = self.search;
-        let cfg = &search.config;
-        let launcher = self
-            .proc_launcher
-            .clone()
-            .expect("drive_islands_proc requires a launcher");
-        // The spec ships the *effective* GP config — with `max_generations`
-        // already clamped to the remaining outer budget — so the worker's
-        // convergence decisions match the ones this process would make.
-        let mut spec_config = cfg.clone();
-        spec_config.gp = engine.config().clone();
-        let spec = WorkerSpec::new(
-            spec_config,
-            search.engine(),
-            &search.grammar,
-            examples,
-            progress.features.clone(),
-        );
-        let mut supervisor = ProcSupervisor::new(spec, launcher, cfg.topology.clone())
-            .workers(self.proc_workers)
-            .heartbeat_deadline_ms(self.heartbeat_deadline_ms)
-            .cancel(self.cancel.as_ref())
-            .injector(self.injector)
-            .telemetry(&self.telemetry);
+        let sup = Supervision {
+            engine,
+            topology: cfg.topology.clone(),
+            workers: self.workers,
+            heartbeat_deadline_ms: self.heartbeat_deadline_ms,
+            cancel: self.cancel.as_ref(),
+            injector: self.injector,
+            telemetry: self.telemetry.clone(),
+        };
+        let mut supervisor = IslandSupervisor::new(sup, executor);
         let mut since_checkpoint = 0usize;
         // Break with a result instead of returning so the supervisor always
-        // shuts its workers down on the way out (`?` would leave that to
-        // the handles' kill-on-drop backstop).
+        // shuts its executor down on the way out (`?` would leave worker
+        // processes to the handles' kill-on-drop backstop).
         let outcome = loop {
             if progress.total_generations + state.generations() >= cfg.max_total_generations {
+                // Out of outer budget: merge what the islands found so far.
                 break Ok(supervisor.merge(&state));
             }
             match supervisor.round(&mut state) {
@@ -1334,6 +1274,31 @@ impl<'a> SearchDriver<'a> {
         };
         supervisor.shutdown();
         outcome
+    }
+
+    /// The process-mode executor: workers built from `launcher` and a spec
+    /// of this search.
+    fn worker_fleet(
+        &self,
+        launcher: &WorkerLauncher,
+        engine: &GpEngine<'_>,
+        progress: &OuterProgress,
+        examples: &[TrainingExample],
+    ) -> WorkerFleet {
+        let search = self.search;
+        // The spec ships the *effective* GP config — with `max_generations`
+        // already clamped to the remaining outer budget — so the worker's
+        // convergence decisions match the ones this process would make.
+        let mut spec_config = search.config.clone();
+        spec_config.gp = engine.config().clone();
+        let spec = WorkerSpec::new(
+            spec_config,
+            search.engine(),
+            &search.grammar,
+            examples,
+            progress.features.clone(),
+        );
+        WorkerFleet::new(spec, launcher.clone())
     }
 
     fn write_checkpoint(

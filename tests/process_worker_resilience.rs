@@ -170,6 +170,29 @@ fn unix_socket_workers_reproduce_the_thread_outcome() {
     }
 }
 
+/// The run log names the worker processes it stepped with, not the
+/// (default, single) thread count.
+#[test]
+fn islands_start_reports_the_process_worker_count() {
+    let examples = synthetic_examples(40);
+    let telemetry = Telemetry::memory();
+    FeatureSearch::from_examples(&examples, island_config(3))
+        .driver()
+        .process_workers(2, WorkerLauncher::Loopback)
+        .telemetry(telemetry.clone())
+        .run(&examples)
+        .expect("process-mode run completes");
+    let lines = telemetry.drain_memory();
+    let start = lines
+        .iter()
+        .find(|l| l.contains("\"kind\":\"islands_start\""))
+        .expect("an island run logs islands_start");
+    assert!(
+        start.contains("\"workers\":2"),
+        "islands_start must carry the process worker count: {start}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // 2. Interrupted checkpoints: byte-identical across channels and counts,
 //    resumable in either mode.
