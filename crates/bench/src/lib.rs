@@ -29,6 +29,7 @@
 pub mod campaign;
 pub mod dataset;
 pub mod methods;
+mod par;
 pub mod pipeline;
 pub mod report;
 

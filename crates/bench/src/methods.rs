@@ -11,12 +11,14 @@
 //!   grammar from the training loops, run the GP feature search, train a
 //!   tree over the found features, predict the held-out loops.
 
+use crate::par;
 use crate::pipeline::{LoopRecord, PipelineError, SuiteData};
 use fegen_core::{FeatureSearch, SearchConfig, SearchOutcome};
 use fegen_ml::data::Dataset;
 use fegen_ml::svm::{Svm, SvmConfig};
 use fegen_ml::tree::{DecisionTree, TreeConfig};
 use fegen_ml::KFold;
+use std::convert::Infallible;
 
 /// Number of unroll-factor classes (factors 0..=15).
 pub const N_CLASSES: usize = 16;
@@ -25,8 +27,48 @@ fn labels(loops: &[LoopRecord]) -> Vec<usize> {
     loops.iter().map(LoopRecord::label_factor).collect()
 }
 
+/// Runs one CV fold per split of `n` loops on up to `workers` threads (see
+/// [`crate::par`]). Each fold returns its predictions for its test loops,
+/// in split order, plus an extra output; the predictions are scattered into
+/// one per-loop vector and the extras come back in fold order.
+fn run_folds<T: Send, E: Send>(
+    n: usize,
+    folds: usize,
+    seed: u64,
+    workers: usize,
+    fold: impl Fn(usize, &[usize], &[usize]) -> Result<(Vec<usize>, T), E> + Sync,
+) -> Result<(Vec<usize>, Vec<T>), E> {
+    let splits = KFold::new(folds, seed).splits(n);
+    let results = par::try_map_ordered(workers, splits.len(), |k| {
+        let (train, test) = &splits[k];
+        fold(k, train, test)
+    })?;
+    let mut factors = vec![0usize; n];
+    let mut extras = Vec::with_capacity(results.len());
+    for ((_, test), (predicted, extra)) in splits.iter().zip(results) {
+        for (&i, f) in test.iter().zip(predicted) {
+            factors[i] = f;
+        }
+        extras.push(extra);
+    }
+    Ok((factors, extras))
+}
+
 /// Cross-validated decision-tree predictions over a fixed feature mapping.
+/// Folds run concurrently; the result does not depend on it.
 pub fn predict_cv_tree(
+    data: &SuiteData,
+    features: impl Fn(&LoopRecord) -> Vec<f64>,
+    folds: usize,
+    seed: u64,
+    tree: &TreeConfig,
+) -> Vec<usize> {
+    predict_cv_tree_with_workers(par::available_workers(), data, features, folds, seed, tree)
+}
+
+/// [`predict_cv_tree`] on up to `workers` fold threads.
+pub(crate) fn predict_cv_tree_with_workers(
+    workers: usize,
     data: &SuiteData,
     features: impl Fn(&LoopRecord) -> Vec<f64>,
     folds: usize,
@@ -42,19 +84,30 @@ pub fn predict_cv_tree(
     let Ok(dataset) = Dataset::new(xs, ys, N_CLASSES) else {
         return vec![fallback; loops.len()];
     };
-    let mut out = vec![0usize; loops.len()];
-    for (train, test) in KFold::new(folds, seed).splits(loops.len()) {
-        let model = DecisionTree::train(&dataset.subset(&train), tree);
-        for i in test {
-            out[i] = model.predict(dataset.row(i));
-        }
-    }
-    out
+    let Ok((factors, _)) = run_folds(loops.len(), folds, seed, workers, |_, train, test| {
+        let model = DecisionTree::train(&dataset.subset(train), tree);
+        let predicted = test.iter().map(|&i| model.predict(dataset.row(i)));
+        Ok::<_, Infallible>((predicted.collect(), ()))
+    });
+    factors
 }
 
 /// Cross-validated one-vs-all RBF SVM predictions (the stateML scheme:
 /// σ = 1, C = 10, features standardised on each fold's training split).
+/// Folds run concurrently; the result does not depend on it.
 pub fn predict_cv_svm(
+    data: &SuiteData,
+    features: impl Fn(&LoopRecord) -> Vec<f64>,
+    folds: usize,
+    seed: u64,
+    svm: &SvmConfig,
+) -> Vec<usize> {
+    predict_cv_svm_with_workers(par::available_workers(), data, features, folds, seed, svm)
+}
+
+/// [`predict_cv_svm`] on up to `workers` fold threads.
+pub(crate) fn predict_cv_svm_with_workers(
+    workers: usize,
     data: &SuiteData,
     features: impl Fn(&LoopRecord) -> Vec<f64>,
     folds: usize,
@@ -68,17 +121,15 @@ pub fn predict_cv_svm(
     let Ok(dataset) = Dataset::new(xs, ys, N_CLASSES) else {
         return vec![fallback; loops.len()];
     };
-    let mut out = vec![0usize; loops.len()];
-    for (train, test) in KFold::new(folds, seed).splits(loops.len()) {
-        let train_set = dataset.subset(&train);
+    let Ok((factors, _)) = run_folds(loops.len(), folds, seed, workers, |_, train, test| {
+        let train_set = dataset.subset(train);
         let stats = train_set.feature_stats();
         let model = Svm::train(&train_set.standardized(&stats), svm);
         let all_std = dataset.standardized(&stats);
-        for i in test {
-            out[i] = model.predict(all_std.row(i));
-        }
-    }
-    out
+        let predicted = test.iter().map(|&i| model.predict(all_std.row(i)));
+        Ok::<_, Infallible>((predicted.collect(), ()))
+    });
+    factors
 }
 
 /// Result of the full our-method run: predictions plus the per-fold search
@@ -114,7 +165,23 @@ pub fn predict_cv_ours(
 /// [`PipelineError::Search`] with the fold index and the underlying
 /// [`fegen_core::SearchError`], instead of aborting the whole evaluation
 /// with a panic.
+///
+/// Folds search concurrently, each with its own seed and its own
+/// [`FeatureSearch`], so factors and outcomes do not depend on it. When
+/// several folds fail, the error names the lowest one, as a serial run
+/// would.
 pub fn try_predict_cv_ours(
+    data: &SuiteData,
+    folds: usize,
+    seed: u64,
+    search: &SearchConfig,
+) -> Result<OursResult, PipelineError> {
+    try_predict_cv_ours_with_workers(par::available_workers(), data, folds, seed, search)
+}
+
+/// [`try_predict_cv_ours`] on up to `workers` fold threads.
+pub(crate) fn try_predict_cv_ours_with_workers(
+    workers: usize,
     data: &SuiteData,
     folds: usize,
     seed: u64,
@@ -122,46 +189,39 @@ pub fn try_predict_cv_ours(
 ) -> Result<OursResult, PipelineError> {
     let examples = data.training_examples();
     let ys = labels(&data.loops);
-    let mut factors = vec![0usize; examples.len()];
-    let mut outcomes = Vec::with_capacity(folds);
-    for (fold, (train, test)) in KFold::new(folds, seed)
-        .splits(examples.len())
-        .into_iter()
-        .enumerate()
-    {
-        let train_examples: Vec<_> = train.iter().map(|&i| examples[i].clone()).collect();
-        let mut cfg = search.clone();
-        cfg.seed = seed ^ (fold as u64).wrapping_mul(0x9e37);
-        let fs = FeatureSearch::from_examples(&train_examples, cfg.clone());
-        let outcome = fs
-            .try_run(&train_examples)
-            .map_err(|source| PipelineError::Search { fold, source })?;
+    let (factors, outcomes) =
+        run_folds(examples.len(), folds, seed, workers, |fold, train, test| {
+            let train_examples: Vec<_> = train.iter().map(|&i| examples[i].clone()).collect();
+            let mut cfg = search.clone();
+            cfg.seed = seed ^ (fold as u64).wrapping_mul(0x9e37);
+            let fs = FeatureSearch::from_examples(&train_examples, cfg.clone());
+            let outcome = fs
+                .try_run(&train_examples)
+                .map_err(|source| PipelineError::Search { fold, source })?;
 
-        // Deploy: train the final tree over the found features on the
-        // training loops, predict the held-out loops. The feature matrix is
-        // rectangular by construction; a degenerate one falls back to the
-        // majority predictor rather than aborting the evaluation.
-        let matrix_train = fs.feature_matrix(&outcome.features, &train_examples);
-        let ys_train: Vec<usize> = train.iter().map(|&i| ys[i]).collect();
-        let model = if outcome.features.is_empty() {
-            None
-        } else {
-            Dataset::new(matrix_train, ys_train.clone(), N_CLASSES)
-                .ok()
-                .map(|ds| DecisionTree::train(&ds, &cfg.tree))
-        };
-        // Fallback when the search found nothing: majority factor.
-        let majority = majority(&ys_train);
-        let test_examples: Vec<_> = test.iter().map(|&i| examples[i].clone()).collect();
-        let matrix_test = fs.feature_matrix(&outcome.features, &test_examples);
-        for (row, &i) in matrix_test.iter().zip(&test) {
-            factors[i] = match &model {
+            // Deploy: train the final tree over the found features on the
+            // training loops, predict the held-out loops. The feature matrix is
+            // rectangular by construction; a degenerate one falls back to the
+            // majority predictor rather than aborting the evaluation.
+            let matrix_train = fs.feature_matrix(&outcome.features, &train_examples);
+            let ys_train: Vec<usize> = train.iter().map(|&i| ys[i]).collect();
+            let model = if outcome.features.is_empty() {
+                None
+            } else {
+                Dataset::new(matrix_train, ys_train.clone(), N_CLASSES)
+                    .ok()
+                    .map(|ds| DecisionTree::train(&ds, &cfg.tree))
+            };
+            // Fallback when the search found nothing: majority factor.
+            let majority = majority(&ys_train);
+            let test_examples: Vec<_> = test.iter().map(|&i| examples[i].clone()).collect();
+            let matrix_test = fs.feature_matrix(&outcome.features, &test_examples);
+            let predicted = matrix_test.iter().map(|row| match &model {
                 Some(m) => m.predict(row),
                 None => majority,
-            };
-        }
-        outcomes.push(outcome);
-    }
+            });
+            Ok((predicted.collect(), outcome))
+        })?;
     Ok(OursResult { factors, outcomes })
 }
 
@@ -235,5 +295,45 @@ mod tests {
         let r = predict_cv_ours(&data, 3, 7, &cfg);
         assert_eq!(r.factors.len(), data.loops.len());
         assert_eq!(r.outcomes.len(), 3);
+    }
+
+    #[test]
+    fn fold_parallel_cv_matches_serial_cv() {
+        let data = tiny();
+        let tree = |workers| {
+            predict_cv_tree_with_workers(
+                workers,
+                &data,
+                |l| l.gcc_feats.clone(),
+                3,
+                1,
+                &TreeConfig::default(),
+            )
+        };
+        assert_eq!(tree(1), tree(3));
+        let svm = |workers| {
+            predict_cv_svm_with_workers(
+                workers,
+                &data,
+                |l| l.stateml_feats.clone(),
+                3,
+                1,
+                &SvmConfig::default(),
+            )
+        };
+        assert_eq!(svm(1), svm(3));
+        let mut cfg = SearchConfig::quick();
+        cfg.max_features = 2;
+        cfg.max_total_generations = 20;
+        cfg.gp.population = 10;
+        cfg.gp.max_generations = 4;
+        let ours = |workers| try_predict_cv_ours_with_workers(workers, &data, 3, 7, &cfg).unwrap();
+        let (serial, parallel) = (ours(1), ours(3));
+        assert_eq!(serial.factors, parallel.factors);
+        assert_eq!(serial.outcomes, parallel.outcomes);
+        assert!(
+            serial.outcomes.iter().any(|o| !o.features.is_empty()),
+            "some fold must find features for the comparison to mean anything"
+        );
     }
 }

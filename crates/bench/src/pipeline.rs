@@ -501,22 +501,31 @@ impl SuiteData {
         Ok(self.baseline_cycles[bench_idx] / cycles)
     }
 
-    /// Per-benchmark speedups for a full factor assignment.
+    /// Per-benchmark speedups for a full factor assignment. The
+    /// benchmarks simulate concurrently; the result does not depend on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a benchmark's deployment fails; use
+    /// [`SuiteData::try_all_benchmark_speedups`] for a typed error.
     pub fn all_benchmark_speedups(&self, factors: &[usize], sim: &SimConfig) -> Vec<f64> {
-        (0..self.benchmarks.len())
-            .map(|b| self.benchmark_speedup(b, factors, sim))
-            .collect()
+        match self.try_all_benchmark_speedups(factors, sim) {
+            Ok(s) => s,
+            Err(e) => panic!("{e}"),
+        }
     }
 
-    /// Fallible form of [`SuiteData::all_benchmark_speedups`].
+    /// Fallible form of [`SuiteData::all_benchmark_speedups`]. When several
+    /// benchmarks fail, the error names the lowest-index one.
     pub fn try_all_benchmark_speedups(
         &self,
         factors: &[usize],
         sim: &SimConfig,
     ) -> Result<Vec<f64>, PipelineError> {
-        (0..self.benchmarks.len())
-            .map(|b| self.try_benchmark_speedup(b, factors, sim))
-            .collect()
+        let workers = crate::par::available_workers();
+        crate::par::try_map_ordered(workers, self.benchmarks.len(), |b| {
+            self.try_benchmark_speedup(b, factors, sim)
+        })
     }
 
     /// The factor assignment of the oracle (per-loop argmin).

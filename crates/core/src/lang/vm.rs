@@ -12,7 +12,8 @@
 //! [`EvalPool`] is the engine the GP search uses: it flattens every
 //! training loop into an arena **once**, compiles each candidate **once**
 //! (memoised by structural fingerprint), and shares a CSE result cache of
-//! `(steps, outcome)` pairs across candidates, loops and worker threads.
+//! `(steps, outcome)` pairs across candidates, loops and worker threads,
+//! stored as one dense column of 16-byte cells per subtree fingerprint.
 //! Cached entries are pure functions of their key, so racing inserts are
 //! idempotent and results are invariant under thread count — the
 //! determinism argument is spelled out in DESIGN.md §11.
@@ -43,7 +44,58 @@ struct CacheEntry {
     outcome: Result<f64, ()>,
 }
 
-/// Shared CSE result cache keyed by `(subtree fingerprint, loop index)`.
+/// One cell of a dense cache column: 16 bytes. `steps` holds
+/// [`Slot::EMPTY`] for an unfilled cell, otherwise the step total with
+/// [`Slot::NON_FINITE`] set for a `NonFinite` outcome; `value` is the
+/// `Ok` value.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    steps: u64,
+    value: f64,
+}
+
+impl Slot {
+    const EMPTY: u64 = u64::MAX;
+    const NON_FINITE: u64 = 1 << 63;
+    const UNFILLED: Slot = Slot {
+        steps: Self::EMPTY,
+        value: 0.0,
+    };
+
+    /// Encodes `entry`, or `None` when its step total does not fit beside
+    /// the flag bits (then it is simply not cached).
+    fn encode(entry: CacheEntry) -> Option<Slot> {
+        if entry.steps >= Self::NON_FINITE - 1 {
+            return None;
+        }
+        Some(match entry.outcome {
+            Ok(value) => Slot {
+                steps: entry.steps,
+                value,
+            },
+            Err(()) => Slot {
+                steps: entry.steps | Self::NON_FINITE,
+                value: 0.0,
+            },
+        })
+    }
+
+    fn decode(self) -> Option<CacheEntry> {
+        if self.steps == Self::EMPTY {
+            return None;
+        }
+        let steps = self.steps & !Self::NON_FINITE;
+        let outcome = if self.steps & Self::NON_FINITE == 0 {
+            Ok(self.value)
+        } else {
+            Err(())
+        };
+        Some(CacheEntry { steps, outcome })
+    }
+}
+
+/// Shared CSE result cache: one dense column per subtree fingerprint, one
+/// [`Slot`] per pool loop.
 ///
 /// Replaying a hit charges the recorded `steps` against the current budget
 /// (failing with `BudgetExceeded` exactly when the interpreter would have
@@ -52,18 +104,40 @@ struct CacheEntry {
 /// outcome.
 #[derive(Debug, Default)]
 struct EvalCache {
-    map: RwLock<HashMap<(Fingerprint, u32), CacheEntry>>,
+    /// Cells per column: the pool's loop count.
+    loops: usize,
+    columns: RwLock<Columns>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-/// Epoch-flush capacity bound: inserting past this clears the map. Entries
-/// are pure functions of their key, so flushing only costs recomputation.
+#[derive(Debug, Default)]
+struct Columns {
+    map: HashMap<Fingerprint, Box<[Slot]>>,
+    /// Filled cells across all columns.
+    filled: usize,
+}
+
+/// Epoch-flush capacity bound on *allocated* slots (columns × loops):
+/// allocating a column past it clears the cache. Entries are pure
+/// functions of their key, so flushing only costs recomputation.
 const RESULT_CACHE_CAP: usize = 1 << 20;
 
 impl EvalCache {
+    fn new(loops: usize) -> EvalCache {
+        EvalCache {
+            loops,
+            ..EvalCache::default()
+        }
+    }
+
     fn get(&self, key: Fingerprint, loop_idx: u32) -> Option<CacheEntry> {
-        let entry = self.map.read().get(&(key, loop_idx)).copied();
+        let entry = self
+            .columns
+            .read()
+            .map
+            .get(&key)
+            .and_then(|col| col[loop_idx as usize].decode());
         // Relaxed counters: observability only, never a decision input.
         match entry {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
@@ -73,11 +147,38 @@ impl EvalCache {
     }
 
     fn insert(&self, key: Fingerprint, loop_idx: u32, entry: CacheEntry) {
-        let mut map = self.map.write();
-        if map.len() >= RESULT_CACHE_CAP {
-            map.clear();
+        let Some(slot) = Slot::encode(entry) else {
+            return;
+        };
+        if self.loops > RESULT_CACHE_CAP {
+            return;
         }
-        map.insert((key, loop_idx), entry);
+        let mut columns = self.columns.write();
+        if !columns.map.contains_key(&key)
+            && (columns.map.len() + 1) * self.loops > RESULT_CACHE_CAP
+        {
+            columns.map.clear();
+            columns.filled = 0;
+        }
+        let col = columns
+            .map
+            .entry(key)
+            .or_insert_with(|| vec![Slot::UNFILLED; self.loops].into_boxed_slice());
+        let cell = &mut col[loop_idx as usize];
+        let fresh = cell.steps == Slot::EMPTY;
+        *cell = slot;
+        columns.filled += usize::from(fresh);
+    }
+
+    /// Filled cells.
+    fn entries(&self) -> usize {
+        self.columns.read().filled
+    }
+
+    /// Allocated cells (columns × loops).
+    #[cfg(test)]
+    fn allocated(&self) -> usize {
+        self.columns.read().map.len() * self.loops
     }
 }
 
@@ -2039,7 +2140,7 @@ pub struct PoolStats {
     pub result_hits: u64,
     /// CSE result-cache misses.
     pub result_misses: u64,
-    /// Live CSE cache entries at snapshot time.
+    /// Filled CSE cache cells at snapshot time.
     pub cache_entries: u64,
 }
 
@@ -2070,11 +2171,12 @@ impl<'a> EvalPool<'a> {
         arenas: Vec<Arc<IrArena>>,
         engine: EvalEngine,
     ) -> EvalPool<'a> {
+        let loops = arenas.len();
         EvalPool {
             trees,
             arenas,
             engine,
-            cache: EvalCache::default(),
+            cache: EvalCache::new(loops),
             programs: Arc::new(Mutex::new(LruCache::new(PROGRAM_CACHE_CAP))),
             cancel: None,
             vm_evals: AtomicU64::new(0),
@@ -2257,9 +2359,9 @@ impl<'a> EvalPool<'a> {
         }
     }
 
-    /// Number of live CSE cache entries (diagnostics).
+    /// Number of filled CSE cache cells (diagnostics).
     pub fn cache_entries(&self) -> usize {
-        self.cache.map.read().len()
+        self.cache.entries()
     }
 
     /// Snapshot of the pool's cumulative activity counters.
@@ -2496,6 +2598,120 @@ mod tests {
                 "budget {budget}"
             );
         }
+    }
+
+    /// Exact step cost of `f` on `ir` under the default budget.
+    fn interp_steps(f: &FeatureExpr, ir: &IrNode) -> u64 {
+        let mut ev = crate::lang::Evaluator::new(DEFAULT_BUDGET);
+        let _ = ev.eval(f, ir);
+        DEFAULT_BUDGET - ev.remaining()
+    }
+
+    /// Distinct single-region features: `sum(//*, count(//*) + k)`.
+    fn filler(k: usize) -> FeatureExpr {
+        parse_feature(&format!("sum(//*, count(//*) + {k})")).unwrap()
+    }
+
+    #[test]
+    fn cache_hits_replay_steps_for_ok_and_non_finite_across_a_flush() {
+        let ir = sample_ir();
+        // 512 columns fill the slot bound.
+        let irs = vec![ir.clone(); RESULT_CACHE_CAP / 512];
+        let pool = EvalPool::new(irs.iter(), EvalEngine::Compiled);
+        let ok = parse_feature("sum(//*, count(//*))").unwrap();
+        let non_finite = parse_feature(&format!("sum(//*, {0} * {0})", f64::MAX)).unwrap();
+        let replay = |f: &FeatureExpr| {
+            let spent = interp_steps(f, &ir);
+            // Warm (or re-warm) the cell, then every boundary budget must
+            // be decided from the cached step total exactly as the
+            // interpreter decides it.
+            assert_eq!(
+                pool.eval(f, 0, DEFAULT_BUDGET),
+                f.eval_with_budget(&ir, DEFAULT_BUDGET)
+            );
+            let hits = pool.stats().result_hits;
+            for budget in [0, 1, spent - 1, spent, spent + 1, DEFAULT_BUDGET] {
+                assert_eq!(
+                    pool.eval(f, 0, budget),
+                    f.eval_with_budget(&ir, budget),
+                    "budget {budget}"
+                );
+            }
+            assert!(
+                pool.stats().result_hits >= hits + 6,
+                "every replay must hit"
+            );
+        };
+        replay(&ok);
+        replay(&non_finite);
+        assert_eq!(
+            pool.eval(&non_finite, 0, DEFAULT_BUDGET),
+            Err(EvalError::NonFinite)
+        );
+        let mut k = 0;
+        let mut before = pool.cache_entries();
+        loop {
+            pool.eval(&filler(k), 0, DEFAULT_BUDGET).unwrap();
+            k += 1;
+            let now = pool.cache_entries();
+            if now < before {
+                break;
+            }
+            before = now;
+            assert!(k <= 512, "no flush after {k} columns");
+        }
+        replay(&ok);
+        replay(&non_finite);
+    }
+
+    #[test]
+    fn cache_entries_count_filled_cells_not_allocated_ones() {
+        let irs = vec![sample_ir(); 8];
+        let pool = EvalPool::new(irs.iter(), EvalEngine::Compiled);
+        let f = parse_feature("sum(//*, count(//*))").unwrap();
+        assert!(pool.eval(&f, 3, DEFAULT_BUDGET).is_ok());
+        let one = pool.cache_entries();
+        assert!(one >= 1, "the root aggregate is a CSE region");
+        assert_eq!(pool.cache.allocated(), 8 * one, "one column per region");
+        assert!(pool.column(&f, DEFAULT_BUDGET).is_some());
+        assert_eq!(pool.cache_entries(), 8 * one);
+        assert_eq!(pool.cache_entries(), pool.cache.allocated());
+        assert_eq!(pool.stats().cache_entries, 8 * one as u64);
+    }
+
+    #[test]
+    fn allocated_slots_stay_within_the_cap_for_single_loop_evals() {
+        let ir = sample_ir();
+        // 255 columns of 4,103 slots fit under the bound, a 256th does not.
+        let irs = vec![ir; RESULT_CACHE_CAP / 256 + 7];
+        let pool = EvalPool::new(irs.iter(), EvalEngine::Compiled);
+        for k in 0..300 {
+            pool.eval(&filler(k), k % irs.len(), DEFAULT_BUDGET)
+                .unwrap();
+            assert!(pool.cache.allocated() <= RESULT_CACHE_CAP, "feature {k}");
+            assert!(pool.cache_entries() <= 255);
+        }
+    }
+
+    #[test]
+    fn unencodable_step_totals_are_not_cached() {
+        let cache = EvalCache::new(2);
+        let key = Fingerprint(7);
+        let huge = CacheEntry {
+            steps: Slot::NON_FINITE - 1,
+            outcome: Err(()),
+        };
+        cache.insert(key, 0, huge);
+        assert_eq!(cache.entries(), 0);
+        assert!(cache.get(key, 0).is_none());
+        let fits = CacheEntry {
+            steps: Slot::NON_FINITE - 2,
+            outcome: Err(()),
+        };
+        cache.insert(key, 1, fits);
+        let got = cache.get(key, 1).expect("cached");
+        assert_eq!((got.steps, got.outcome), (fits.steps, Err(())));
+        assert!(cache.get(key, 0).is_none(), "the other cell stays empty");
     }
 
     /// `levels` nested `sum(//*, ... + 0)` — beyond the plan depth bound,
