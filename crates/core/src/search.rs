@@ -35,6 +35,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// One training loop: its exported IR and the measured cycle table.
 ///
@@ -445,6 +447,8 @@ impl FeatureSearch {
             tree: cfg.tree.clone(),
             budget: cfg.eval_budget_per_example,
             base_columns: Vec::new(),
+            column_us: AtomicU64::new(0),
+            tree_us: AtomicU64::new(0),
         })
     }
 }
@@ -479,6 +483,18 @@ pub(crate) struct FitnessHarness<'e> {
     tree: TreeConfig,
     budget: u64,
     base_columns: Vec<Vec<f64>>,
+    /// Wall µs [`FitnessHarness::fitness`] spent evaluating candidate
+    /// columns, summed over the threads that called it.
+    column_us: AtomicU64,
+    /// Wall µs it spent on the fitness models: assembling and presorting
+    /// the dataset, training the C4.5 trees and validating them.
+    tree_us: AtomicU64,
+}
+
+/// Adds the µs elapsed since `since` to `counter`.
+fn add_elapsed_us(counter: &AtomicU64, since: Instant) {
+    let us = u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX);
+    counter.fetch_add(us, Ordering::Relaxed);
 }
 
 impl<'e> FitnessHarness<'e> {
@@ -491,11 +507,23 @@ impl<'e> FitnessHarness<'e> {
     /// Without a token installed (worker processes) the path is identical
     /// and never cancels.
     pub(crate) fn fitness(&self, expr: &FeatureExpr) -> Option<f64> {
-        let column = self.pool.column_cancellable(expr, self.budget)?;
+        let started = Instant::now();
+        let column = self.pool.column_cancellable(expr, self.budget);
+        add_elapsed_us(&self.column_us, started);
+        let column = column?;
+        let started = Instant::now();
+        let fitness = self.model_fitness(&column);
+        add_elapsed_us(&self.tree_us, started);
+        Some(fitness)
+    }
+
+    /// Mean validation speedup, over the internal splits, of the trees
+    /// trained on the base columns plus `column`.
+    fn model_fitness(&self, column: &[f64]) -> f64 {
         let Some((data, presorted)) =
-            fitness_model(&self.base_columns, Some(&column), &self.labels, self.n_classes)
+            fitness_model(&self.base_columns, Some(column), &self.labels, self.n_classes)
         else {
-            return Some(0.0);
+            return 0.0;
         };
         let total: f64 = self
             .splits
@@ -504,7 +532,18 @@ impl<'e> FitnessHarness<'e> {
                 model_speedup(&data, &presorted, &self.tables, train_idx, valid_idx, &self.tree)
             })
             .sum();
-        Some(total / self.splits.len() as f64)
+        total / self.splits.len() as f64
+    }
+
+    /// Publishes the pool's statistics and the fitness time split as
+    /// gauges (the caller emits them with the `eval_pool` metrics).
+    pub(crate) fn record_telemetry(&self, telemetry: &Telemetry) {
+        self.pool.record_telemetry(telemetry);
+        if telemetry.is_enabled() {
+            let us = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64;
+            telemetry.gauge_set("search.fitness_column_us", us(&self.column_us));
+            telemetry.gauge_set("search.fitness_tree_us", us(&self.tree_us));
+        }
     }
 
     /// Uncancellable column of `expr` over all examples (base-feature
@@ -522,11 +561,6 @@ impl<'e> FitnessHarness<'e> {
     /// [`EvalPool::set_cancel`]).
     pub(crate) fn set_cancel(&mut self, cancel: CancelToken) {
         self.pool.set_cancel(cancel);
-    }
-
-    /// The evaluation pool (telemetry, column reuse).
-    pub(crate) fn pool(&self) -> &EvalPool<'e> {
-        &self.pool
     }
 
     /// Per-example labels (best heuristic values).
@@ -559,14 +593,14 @@ impl<'e> FitnessHarness<'e> {
 /// so this does not happen in practice.
 fn fitness_model(
     base_columns: &[Vec<f64>],
-    extra: Option<&Vec<f64>>,
+    extra: Option<&[f64]>,
     labels: &[usize],
     n_classes: usize,
 ) -> Option<(Dataset, Presorted)> {
     let n = labels.len();
     let width = base_columns.len() + usize::from(extra.is_some());
     let mut rows: Vec<Vec<f64>> = vec![Vec::with_capacity(width); n];
-    for col in base_columns.iter().chain(extra) {
+    for col in base_columns.iter().map(Vec::as_slice).chain(extra) {
         for (row, &v) in rows.iter_mut().zip(col.iter()) {
             row.push(v);
         }
@@ -1030,7 +1064,7 @@ impl<'a> SearchDriver<'a> {
                     // Publish what the pool did before surfacing the
                     // interruption, so a killed run's log still carries its
                     // cache statistics.
-                    harness.pool().record_telemetry(&self.telemetry);
+                    harness.record_telemetry(&self.telemetry);
                     self.telemetry.emit_metrics("eval_pool");
                     return Err(e);
                 }
@@ -1119,7 +1153,7 @@ impl<'a> SearchDriver<'a> {
             let _ = std::fs::remove_file(path);
         }
 
-        harness.pool().record_telemetry(&self.telemetry);
+        harness.record_telemetry(&self.telemetry);
         self.telemetry.emit_metrics("eval_pool");
         self.telemetry
             .event("search_done")

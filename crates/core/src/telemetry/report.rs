@@ -384,6 +384,20 @@ pub fn render(events: &[ParsedEvent], skipped: usize) -> String {
         );
     }
 
+    // Where candidate fitness went: evaluating the column, then the C4.5
+    // models judging it (summed over the threads that ran fitness).
+    let column_us = get("search.fitness_column_us");
+    let tree_us = get("search.fitness_tree_us");
+    if column_us + tree_us > 0 {
+        let _ = writeln!(
+            out,
+            "search fitness: {} column eval, {} tree train ({:.1}% in trees)",
+            fmt_dur_us(column_us),
+            fmt_dur_us(tree_us),
+            100.0 * tree_us as f64 / (column_us + tree_us) as f64
+        );
+    }
+
     // Supervisor wait: the rounds' wall-clock against the step time that
     // filled it, over the slots (workers that had an island) a round could
     // keep busy. Rendered by the section of whichever supervisor ran.
@@ -737,12 +751,19 @@ mod tests {
         }
         t.counter_add("supervisor.round_us", 100_000);
         t.counter_add("supervisor.busy_us", 150_000);
+        t.gauge_set("search.fitness_column_us", 30_000.0);
+        t.gauge_set("search.fitness_tree_us", 90_000.0);
         t.emit_metrics("eval_pool");
         drop(t);
 
         let summary = summarize_dir(&dir).expect("summarize");
         assert!(
             summary.contains("islands: 4 island(s), 2 worker(s)"),
+            "{summary}"
+        );
+        assert!(
+            summary
+                .contains("search fitness: 30.0ms column eval, 90.0ms tree train (75.0% in trees)"),
             "{summary}"
         );
         assert!(

@@ -71,65 +71,56 @@ enum Node {
     },
 }
 
-/// Per-feature example orderings computed once per dataset.
+/// Per-feature value orderings of a dataset's examples, computed once.
 ///
-/// C4.5 spends most of its time sorting candidate-split columns: the naive
-/// implementation re-sorts every feature at every node of the recursion.
-/// `Presorted` sorts each feature's example indices by value **once**; the
-/// recursion then keeps each node's index lists sorted by order-preserving
-/// partition (O(n) per node instead of O(n log n) per node *per feature*),
-/// and cross-validation folds restrict the same orderings by membership
-/// instead of re-sorting the fold.
+/// The split scan reads every candidate-split column in value order.
+/// `Presorted` sorts each feature's examples by value **once**; training
+/// restricts those orderings to its examples and keeps them sorted by
+/// order-preserving partition at every node (O(n) per node, no sorting),
+/// so cross-validation folds share one `Presorted`.
 ///
 /// Thresholds are only placed between *distinct* adjacent values and split
 /// statistics are cumulative label counts, so the relative order of equal
-/// values never affects a split decision: training through `Presorted`
-/// produces trees identical to the re-sorting implementation.
+/// values never affects a split decision.
 #[derive(Debug, Clone)]
 pub struct Presorted {
-    /// `by_feature[f]` lists all example indices sorted ascending by the
-    /// value of feature `f` (stable in example order for ties).
-    by_feature: Vec<Vec<u32>>,
+    /// `by_feature[f]` lists every example, with its value of feature `f`
+    /// and its label, sorted ascending by that value (stable in example
+    /// order for ties).
+    by_feature: Vec<Vec<Entry>>,
+}
+
+/// One example in a feature's value order, carrying everything the split
+/// scan and the node partition read, so both walk memory in order.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    value: f64,
+    label: u32,
+    example: u32,
 }
 
 impl Presorted {
     /// Sorts every feature column of `data` once.
     pub fn new(data: &Dataset) -> Presorted {
-        let n = data.len();
         let by_feature = (0..data.n_features())
             .map(|f| {
-                let mut order: Vec<u32> = (0..n as u32).collect();
+                let mut column: Vec<Entry> = (0..data.len())
+                    .map(|i| Entry {
+                        value: data.row(i)[f],
+                        label: data.label(i) as u32,
+                        example: i as u32,
+                    })
+                    .collect();
                 // `total_cmp`, not `partial_cmp(..).unwrap_or(Equal)`: the
                 // latter is not a total order when a NaN feature value slips
                 // in, making the sort order — and thus the learned tree —
                 // nondeterministic. Under the total order NaNs sort after
                 // +inf, deterministically.
-                order.sort_by(|&a, &b| {
-                    data.row(a as usize)[f].total_cmp(&data.row(b as usize)[f])
-                });
-                order
+                column.sort_by(|a, b| a.value.total_cmp(&b.value));
+                column
             })
             .collect();
         Presorted { by_feature }
-    }
-
-    /// The orderings restricted to the examples in `indices` (order within
-    /// each feature is preserved, so the result stays sorted by value).
-    fn restrict(&self, n: usize, indices: &[usize]) -> Vec<Vec<u32>> {
-        let mut member = vec![false; n];
-        for &i in indices {
-            member[i] = true;
-        }
-        self.by_feature
-            .iter()
-            .map(|order| {
-                order
-                    .iter()
-                    .copied()
-                    .filter(|&i| member[i as usize])
-                    .collect()
-            })
-            .collect()
     }
 }
 
@@ -163,8 +154,19 @@ impl DecisionTree {
         indices: &[usize],
         config: &TreeConfig,
     ) -> DecisionTree {
-        let sorted = presorted.restrict(data.len(), indices);
-        let mut root = grow(data, indices, &sorted, config, 0);
+        let mut root = if presorted.by_feature.is_empty() {
+            // No feature can split: the root is the majority leaf.
+            let mut counts = vec![0usize; data.n_classes()];
+            for &i in indices {
+                counts[data.label(i)] += 1;
+            }
+            leaf(counts, indices.len())
+        } else {
+            MEMO.with_borrow_mut(|memo| {
+                memo.cover(indices.len());
+                Grower::new(data, presorted, indices, config, memo).grow_root()
+            })
+        };
         if config.prune {
             prune(&mut root, config.prune_z);
         }
@@ -291,21 +293,89 @@ impl fmt::Display for DecisionTree {
     }
 }
 
-fn entropy(counts: &[usize], total: usize) -> f64 {
-    if total == 0 {
-        return 0.0;
-    }
-    let total_f = total as f64;
-    counts
-        .iter()
-        .filter(|&&c| c > 0)
-        .map(|&c| {
-            let p = c as f64 / total_f;
-            -p * p.log2()
-        })
-        .sum()
+/// Largest node size whose entropy and split-info terms are memoised:
+/// about `MEMO_ROWS²` f64s (8 MiB) per thread at most. Larger nodes, which
+/// only paper-scale roots reach, compute their terms directly.
+const MEMO_ROWS: usize = 1024;
+
+/// One class's entropy term `-p·log2(p)` at `p = c / total`, exactly as
+/// C4.5's entropy sums it.
+fn entropy_term(c: usize, total: usize) -> f64 {
+    let p = c as f64 / total as f64;
+    -p * p.log2()
 }
 
+/// Split information of sending `n_left` of `n` examples left.
+fn split_info_term(n_left: usize, n: usize) -> f64 {
+    let p_left = n_left as f64 / n as f64;
+    -(p_left * p_left.log2() + (1.0 - p_left) * (1.0 - p_left).log2())
+}
+
+/// Triangular tables of [`entropy_term`] and [`split_info_term`] for every
+/// node size below `rows`, grown on demand and kept per thread, so the
+/// split scan does table lookups instead of two logarithms per class per
+/// threshold.
+///
+/// The lookups are bit-exact stand-ins for computing in place: each entry
+/// is computed by the very expression it replaces, and
+/// [`EntropyMemo::entropy`] adds the entries in the same class order.
+/// Entropy skips zero counts; the table answers a zero count with `-0.0`
+/// instead, and since `x + -0.0` is `x` for every `x`, signed zeros
+/// included, the branch-free sum equals the sum over the nonzero terms.
+#[derive(Default)]
+struct EntropyMemo {
+    /// `terms[t(t+1)/2 + c] = entropy_term(c, t)` for `1 ≤ c ≤ t`, and
+    /// `-0.0` at `c = 0`.
+    terms: Vec<f64>,
+    /// `split_terms[(n-1)(n-2)/2 + l - 1] = split_info_term(l, n)` for
+    /// `1 ≤ l < n`.
+    split_terms: Vec<f64>,
+    rows: usize,
+}
+
+thread_local! {
+    static MEMO: std::cell::RefCell<EntropyMemo> = std::cell::RefCell::default();
+}
+
+impl EntropyMemo {
+    /// Extends the tables to node sizes up to `n` (capped at [`MEMO_ROWS`]).
+    fn cover(&mut self, n: usize) {
+        let rows = n.min(MEMO_ROWS) + 1;
+        for t in self.rows..rows {
+            self.terms.push(-0.0);
+            self.terms.extend((1..=t).map(|c| entropy_term(c, t)));
+            self.split_terms
+                .extend((1..t).map(|l| split_info_term(l, t)));
+        }
+        self.rows = self.rows.max(rows);
+    }
+
+    /// Entropy of a class histogram over `total` examples, given as its
+    /// counts in ascending class order (zero counts may be left out).
+    fn entropy(&self, counts: impl Iterator<Item = usize>, total: usize) -> f64 {
+        if total == 0 {
+            return 0.0;
+        }
+        if total >= self.rows {
+            return counts
+                .filter(|&c| c > 0)
+                .map(|c| entropy_term(c, total))
+                .sum();
+        }
+        let row = &self.terms[total * (total + 1) / 2..][..=total];
+        counts.map(|c| row[c]).sum()
+    }
+
+    /// [`split_info_term`]`(n_left, n)` for `1 ≤ n_left < n`.
+    fn split_info(&self, n_left: usize, n: usize) -> f64 {
+        if n >= self.rows {
+            return split_info_term(n_left, n);
+        }
+        self.split_terms[(n - 1) * (n - 2) / 2 + n_left - 1]
+    }
+}
+
+#[derive(Clone, Copy)]
 struct SplitChoice {
     feature: usize,
     threshold: f64,
@@ -313,144 +383,241 @@ struct SplitChoice {
     gain_ratio: f64,
 }
 
-fn grow(
-    data: &Dataset,
-    indices: &[usize],
-    sorted: &[Vec<u32>],
-    config: &TreeConfig,
-    depth: usize,
-) -> Node {
-    let make_leaf = |indices: &[usize]| -> Node {
-        let mut counts = vec![0usize; data.n_classes()];
-        for &i in indices {
-            counts[data.label(i)] += 1;
-        }
-        let (label, &n_max) = counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(i, &c)| (c, usize::MAX - i))
-            .unwrap_or((0, &0));
-        Node::Leaf {
-            label,
-            n: indices.len(),
-            errors: indices.len() - n_max,
-            dist: counts,
-        }
-    };
-
-    if indices.len() < config.min_split || depth >= config.max_depth {
-        return make_leaf(indices);
-    }
-    let first_label = data.label(indices[0]);
-    if indices.iter().all(|&i| data.label(i) == first_label) {
-        return make_leaf(indices);
-    }
-
-    let Some(best) = best_split(data, indices, sorted) else {
-        return make_leaf(indices);
-    };
-
-    let goes_left = |i: usize| data.row(i)[best.feature] <= best.threshold;
-    let (left, right): (Vec<usize>, Vec<usize>) = indices.iter().partition(|&&i| goes_left(i));
-    if left.is_empty() || right.is_empty() {
-        return make_leaf(indices);
-    }
-    // Order-preserving partition keeps each child's orderings sorted by
-    // value without re-sorting.
-    let mut left_sorted = Vec::with_capacity(sorted.len());
-    let mut right_sorted = Vec::with_capacity(sorted.len());
-    for order in sorted {
-        let (l, r): (Vec<u32>, Vec<u32>) =
-            order.iter().partition(|&&i| goes_left(i as usize));
-        left_sorted.push(l);
-        right_sorted.push(r);
-    }
-    Node::Split {
-        feature: best.feature,
-        threshold: best.threshold,
-        left: Box::new(grow(data, &left, &left_sorted, config, depth + 1)),
-        right: Box::new(grow(data, &right, &right_sorted, config, depth + 1)),
+/// The leaf predicting the majority of `counts` (ties towards the smaller
+/// class; class 0 when empty).
+fn leaf(counts: Vec<usize>, n: usize) -> Node {
+    let (label, &n_max) = counts
+        .iter()
+        .enumerate()
+        .max_by_key(|(i, &c)| (c, usize::MAX - i))
+        .unwrap_or((0, &0));
+    Node::Leaf {
+        label,
+        n,
+        errors: n - n_max,
+        dist: counts,
     }
 }
 
-/// Finds the best (feature, threshold) by gain ratio among splits with at
-/// least average positive gain. `sorted[f]` must list the node's examples
-/// sorted ascending by feature `f`.
-fn best_split(data: &Dataset, indices: &[usize], sorted: &[Vec<u32>]) -> Option<SplitChoice> {
-    let n = indices.len();
-    let n_classes = data.n_classes();
-    let mut total_counts = vec![0usize; n_classes];
-    for &i in indices {
-        total_counts[data.label(i)] += 1;
-    }
-    let base_entropy = entropy(&total_counts, n);
+/// The state of growing one tree.
+///
+/// Every feature's ordering of the training examples lives in one buffer,
+/// `order`, feature-major: feature `f` owns `order[f * m..(f + 1) * m]`.
+/// A node is a position range `lo..hi`, and the invariant is that for every
+/// feature `f`, `order[f * m + lo..f * m + hi]` holds exactly the node's
+/// examples sorted ascending by feature `f` (`total_cmp`, ties in example
+/// order).
+/// Splitting a node partitions each of its feature segments in place,
+/// left examples first, both halves keeping their order, so the children
+/// are `lo..mid` and `mid..hi` and the invariant holds for them too.
+struct Grower<'a> {
+    n_features: usize,
+    n_classes: usize,
+    config: &'a TreeConfig,
+    memo: &'a EntropyMemo,
+    /// Examples trained on: the length of each feature segment.
+    m: usize,
+    order: Vec<Entry>,
+    /// Per example: whether it goes left at the node being split.
+    goes_left: Vec<bool>,
+    /// Partition buffer for one segment's right-going examples.
+    spill: Vec<Entry>,
+    /// Class histogram left of the threshold being scanned.
+    left: Vec<usize>,
+    /// The classes present at the node being scanned, ascending.
+    classes: Vec<usize>,
+    candidates: Vec<SplitChoice>,
+}
 
-    let mut candidates: Vec<SplitChoice> = Vec::new();
-    for (feature, order) in sorted.iter().enumerate() {
-        let value = |k: usize| data.row(order[k] as usize)[feature];
-        let mut left_counts = vec![0usize; n_classes];
-        let mut best_for_feature: Option<SplitChoice> = None;
-        for k in 0..n - 1 {
-            left_counts[data.label(order[k] as usize)] += 1;
-            // Candidate threshold only between distinct values.
-            if value(k) == value(k + 1) {
-                continue;
-            }
-            let n_left = k + 1;
-            let n_right = n - n_left;
-            let mut right_counts = vec![0usize; n_classes];
-            for (c, (&t, &l)) in right_counts
-                .iter_mut()
-                .zip(total_counts.iter().zip(left_counts.iter()))
-            {
-                *c = t - l;
-            }
-            let split_entropy = (n_left as f64 / n as f64) * entropy(&left_counts, n_left)
-                + (n_right as f64 / n as f64) * entropy(&right_counts, n_right);
-            let gain = base_entropy - split_entropy;
-            if gain <= 1e-12 {
-                continue;
-            }
-            let p_left = n_left as f64 / n as f64;
-            let split_info = -(p_left * p_left.log2() + (1.0 - p_left) * (1.0 - p_left).log2());
-            let gain_ratio = gain / split_info.max(1e-12);
-            let threshold = (value(k) + value(k + 1)) / 2.0;
-            // NaN rejection: a NaN or infinite feature value produces a
-            // non-finite threshold (NaN ≠ NaN, so the distinct-values guard
-            // above does not catch it); such a split can never be applied
-            // meaningfully at prediction time, so it is not a candidate.
-            if !threshold.is_finite() || !gain_ratio.is_finite() {
-                continue;
-            }
-            let cand = SplitChoice {
-                feature,
-                threshold,
-                gain,
-                gain_ratio,
+impl<'a> Grower<'a> {
+    fn new(
+        data: &Dataset,
+        presorted: &Presorted,
+        indices: &[usize],
+        config: &'a TreeConfig,
+        memo: &'a EntropyMemo,
+    ) -> Self {
+        let mut member = vec![false; data.len()];
+        for &i in indices {
+            member[i] = true;
+        }
+        // Restrict every ordering to the training examples; order within
+        // each feature is preserved, so each segment stays sorted by value.
+        let n_features = presorted.by_feature.len();
+        let mut order = Vec::with_capacity(indices.len() * n_features);
+        for column in &presorted.by_feature {
+            order.extend(column.iter().filter(|e| member[e.example as usize]));
+        }
+        let m = order.len() / n_features;
+        let n_classes = data.n_classes();
+        Grower {
+            n_features,
+            n_classes,
+            config,
+            memo,
+            m,
+            spill: order[..m].to_vec(),
+            order,
+            goes_left: member,
+            left: vec![0; n_classes],
+            classes: Vec::with_capacity(n_classes),
+            candidates: Vec::with_capacity(n_features),
+        }
+    }
+
+    fn grow_root(mut self) -> Node {
+        let mut counts = vec![0usize; self.n_classes];
+        for e in &self.order[..self.m] {
+            counts[e.label as usize] += 1;
+        }
+        self.grow(0, self.m, 0, counts)
+    }
+
+    /// Grows the subtree of the node at positions `lo..hi`, whose class
+    /// histogram is `counts`.
+    fn grow(&mut self, lo: usize, hi: usize, depth: usize, mut counts: Vec<usize>) -> Node {
+        let n = hi - lo;
+        if self.stops(n, depth, &counts) {
+            return leaf(counts, n);
+        }
+        let Some(best) = self.best_split(lo, hi, &counts) else {
+            return leaf(counts, n);
+        };
+
+        let m = self.m;
+        let mut left_counts = vec![0usize; self.n_classes];
+        for e in &self.order[best.feature * m + lo..best.feature * m + hi] {
+            let left = e.value <= best.threshold;
+            self.goes_left[e.example as usize] = left;
+            left_counts[e.label as usize] += usize::from(left);
+        }
+        let n_left: usize = left_counts.iter().sum();
+        if n_left == 0 || n_left == n {
+            return leaf(counts, n);
+        }
+        for (c, l) in counts.iter_mut().zip(&left_counts) {
+            *c -= l;
+        }
+        // A child that stops reads nothing but its histogram, so the
+        // segments need partitioning only when a child will look for a
+        // split.
+        if self.stops(n_left, depth + 1, &left_counts) && self.stops(n - n_left, depth + 1, &counts)
+        {
+            return Node::Split {
+                feature: best.feature,
+                threshold: best.threshold,
+                left: Box::new(leaf(left_counts, n_left)),
+                right: Box::new(leaf(counts, n - n_left)),
             };
-            if best_for_feature
-                .as_ref()
-                .is_none_or(|b| cand.gain_ratio > b.gain_ratio)
-            {
-                best_for_feature = Some(cand);
+        }
+        for f in 0..self.n_features {
+            let segment = &mut self.order[f * m + lo..f * m + hi];
+            // Branch-free stable partition: every entry is written to both
+            // destinations and only the matching cursor advances.
+            let (mut kept, mut spilled) = (0, 0);
+            for k in 0..segment.len() {
+                let e = segment[k];
+                let left = self.goes_left[e.example as usize];
+                segment[kept] = e;
+                self.spill[spilled] = e;
+                kept += usize::from(left);
+                spilled += usize::from(!left);
             }
+            segment[kept..].copy_from_slice(&self.spill[..spilled]);
         }
-        if let Some(c) = best_for_feature {
-            candidates.push(c);
+        let mid = lo + n_left;
+        Node::Split {
+            feature: best.feature,
+            threshold: best.threshold,
+            left: Box::new(self.grow(lo, mid, depth + 1, left_counts)),
+            right: Box::new(self.grow(mid, hi, depth + 1, counts)),
         }
     }
-    if candidates.is_empty() {
-        return None;
+
+    /// Whether a node of `n` examples at `depth` with class histogram
+    /// `counts` becomes a leaf without looking for a split.
+    fn stops(&self, n: usize, depth: usize, counts: &[usize]) -> bool {
+        n == 0 || n < self.config.min_split || depth >= self.config.max_depth || counts.contains(&n)
     }
-    let avg_gain: f64 = candidates.iter().map(|c| c.gain).sum::<f64>() / candidates.len() as f64;
-    candidates
-        .into_iter()
-        // C4.5: restrict gain-ratio selection to at-least-average gain.
-        .filter(|c| c.gain >= avg_gain - 1e-12)
-        // Total order: candidates all carry finite gain ratios (enforced at
-        // construction), and `total_cmp` keeps the selection deterministic
-        // even if that invariant is ever violated.
-        .max_by(|a, b| a.gain_ratio.total_cmp(&b.gain_ratio))
+
+    /// Finds the best (feature, threshold) of the node at `lo..hi` by gain
+    /// ratio among splits with at least average positive gain. `total` is
+    /// the node's class histogram.
+    fn best_split(&mut self, lo: usize, hi: usize, total: &[usize]) -> Option<SplitChoice> {
+        let n = hi - lo;
+        let m = self.m;
+        let memo = self.memo;
+        // Classes absent from the node count zero on both sides of every
+        // threshold: the entropy sums need only visit the present ones.
+        self.classes.clear();
+        self.classes
+            .extend((0..self.n_classes).filter(|&c| total[c] > 0));
+        let classes = &self.classes;
+        let base_entropy = memo.entropy(classes.iter().map(|&c| total[c]), n);
+
+        self.candidates.clear();
+        for feature in 0..self.n_features {
+            let segment = &self.order[feature * m + lo..feature * m + hi];
+            let left = &mut self.left;
+            left.fill(0);
+            let mut best_for_feature: Option<SplitChoice> = None;
+            let mut next = segment[0].value;
+            for k in 0..n - 1 {
+                let label = segment[k].label as usize;
+                left[label] += 1;
+                let value = next;
+                next = segment[k + 1].value;
+                // Candidate threshold only between distinct values.
+                if value == next {
+                    continue;
+                }
+                let n_left = k + 1;
+                let n_right = n - n_left;
+                let split_entropy = (n_left as f64 / n as f64)
+                    * memo.entropy(classes.iter().map(|&c| left[c]), n_left)
+                    + (n_right as f64 / n as f64)
+                        * memo.entropy(classes.iter().map(|&c| total[c] - left[c]), n_right);
+                let gain = base_entropy - split_entropy;
+                if gain <= 1e-12 {
+                    continue;
+                }
+                let gain_ratio = gain / memo.split_info(n_left, n).max(1e-12);
+                let threshold = (value + next) / 2.0;
+                // NaN rejection: a NaN or infinite feature value produces a
+                // non-finite threshold (NaN ≠ NaN, so the distinct-values
+                // guard above does not catch it); such a split can never be
+                // applied meaningfully at prediction time, so it is not a
+                // candidate.
+                if !threshold.is_finite() || !gain_ratio.is_finite() {
+                    continue;
+                }
+                if best_for_feature.is_none_or(|b| gain_ratio > b.gain_ratio) {
+                    best_for_feature = Some(SplitChoice {
+                        feature,
+                        threshold,
+                        gain,
+                        gain_ratio,
+                    });
+                }
+            }
+            self.candidates.extend(best_for_feature);
+        }
+        if self.candidates.is_empty() {
+            return None;
+        }
+        let candidates = &self.candidates;
+        let avg_gain: f64 =
+            candidates.iter().map(|c| c.gain).sum::<f64>() / candidates.len() as f64;
+        candidates
+            .iter()
+            // C4.5: restrict gain-ratio selection to at-least-average gain.
+            .filter(|c| c.gain >= avg_gain - 1e-12)
+            // Total order: candidates all carry finite gain ratios (enforced
+            // at construction), and `total_cmp` keeps the selection
+            // deterministic even if that invariant is ever violated.
+            .max_by(|a, b| a.gain_ratio.total_cmp(&b.gain_ratio))
+            .copied()
+    }
 }
 
 /// C4.5 pessimistic error: upper confidence bound on the leaf error rate.
@@ -507,6 +674,9 @@ fn prune(node: &mut Node, z: f64) -> (Vec<usize>, f64) {
         }
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -568,6 +738,23 @@ mod tests {
         let d = Dataset::new(vec![], vec![], 4).unwrap();
         let t = DecisionTree::train(&d, &TreeConfig::default());
         assert_eq!(t.predict(&[1.0, 2.0]), 0);
+    }
+
+    /// Regression: with `min_split: 0` an empty dataset used to reach the
+    /// all-one-label check and panic indexing its first example.
+    #[test]
+    fn empty_dataset_with_min_split_zero_predicts_class_zero() {
+        let d = Dataset::new(vec![], vec![], 3).unwrap();
+        let cfg = TreeConfig {
+            min_split: 0,
+            ..TreeConfig::default()
+        };
+        let t = DecisionTree::train(&d, &cfg);
+        assert_eq!(t.n_leaves(), 1);
+        assert_eq!(t.predict(&[1.0]), 0);
+        let d = Dataset::new(vec![vec![1.0], vec![2.0]], vec![1, 2], 3).unwrap();
+        let t = DecisionTree::train_on(&d, &Presorted::new(&d), &[], &cfg);
+        assert_eq!(t.predict(&[1.0]), 0);
     }
 
     #[test]
