@@ -109,6 +109,18 @@ struct EvalCache {
     columns: RwLock<Columns>,
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Rides along with the cache because the cache is the per-pool state
+    /// every VM run of the pool sees.
+    sweep: SweepCounters,
+}
+
+/// How often the columnar sweep ([`PlanEval::column_agg`]) decided an
+/// aggregate (a value or `BudgetExceeded`) and how often it fell back to
+/// the scalar loop. Relaxed counters: observability only.
+#[derive(Debug, Default)]
+struct SweepCounters {
+    commits: AtomicU64,
+    fallbacks: AtomicU64,
 }
 
 #[derive(Debug, Default)]
@@ -188,7 +200,6 @@ impl EvalCache {
 /// no side-table lookups.
 #[derive(Debug, Clone, Copy)]
 struct AggFrame {
-    kind: AggKind,
     body_pc: u32,
     end_pc: u32,
     /// Next arena index to consider (children advance by sibling jump,
@@ -197,9 +208,7 @@ struct AggFrame {
     /// Exclusive end of the iteration span.
     end: u32,
     children: bool,
-    acc: f64,
-    n: u64,
-    started: bool,
+    acc: Acc,
     saved_ctx: u32,
 }
 
@@ -336,6 +345,7 @@ impl<'a> Vm<'a> {
                 let pe = PlanEval {
                     arena,
                     limit: budget,
+                    sweep: None,
                 };
                 let mut steps = 0u64;
                 match pe.agg(0, &prog.plans[*i as usize], &mut steps) {
@@ -457,19 +467,7 @@ impl<'a> Vm<'a> {
                 Op::Arith(op) => {
                     let b = self.pop_num();
                     let a = self.pop_num();
-                    let v = match op {
-                        ArithOp::Add => a + b,
-                        ArithOp::Sub => a - b,
-                        ArithOp::Mul => a * b,
-                        ArithOp::Div => {
-                            if b.abs() < 1e-12 {
-                                0.0
-                            } else {
-                                a / b
-                            }
-                        }
-                    };
-                    self.push_num(v)?;
+                    self.push_num(arith(op, a, b))?;
                     pc += 1;
                 }
                 Op::Neg => {
@@ -553,15 +551,12 @@ impl<'a> Vm<'a> {
                     self.charge(1)?;
                     let meta = &prog.aggs[meta_idx as usize];
                     self.frames.push(AggFrame {
-                        kind: meta.kind,
                         body_pc: meta.body_pc,
                         end_pc: meta.end_pc,
                         next: self.ctx + 1,
                         end: self.arena.subtree_end(self.ctx),
                         children: meta.children_base,
-                        acc: 0.0,
-                        n: 0,
-                        started: false,
+                        acc: Acc::new(meta.kind),
                         saved_ctx: self.ctx,
                     });
                     self.advance(&mut pc)?;
@@ -574,7 +569,12 @@ impl<'a> Vm<'a> {
                     }
                 }
                 Op::AggAccum => {
-                    let kind = self.frames.last().expect("aggregate frame underflow").kind;
+                    let kind = self
+                        .frames
+                        .last()
+                        .expect("aggregate frame underflow")
+                        .acc
+                        .kind;
                     let v = match kind {
                         AggKind::Count => 0.0, // count pops no body value
                         _ => self.pop_num(),
@@ -652,6 +652,7 @@ impl<'a> Vm<'a> {
                     let pe = PlanEval {
                         arena: self.arena,
                         limit: self.remaining,
+                        sweep: cache.map(|c| &c.sweep),
                     };
                     let mut steps = 0u64;
                     match pe.agg(self.ctx, meta, &mut steps) {
@@ -726,22 +727,7 @@ impl<'a> Vm<'a> {
     #[inline]
     fn accum_frame(&mut self, v: f64) {
         let f = self.frames.last_mut().expect("aggregate frame underflow");
-        match f.kind {
-            AggKind::Count => f.n += 1,
-            AggKind::Sum => f.acc += v,
-            AggKind::Max => {
-                f.acc = if f.started { f.acc.max(v) } else { v };
-                f.started = true;
-            }
-            AggKind::Min => {
-                f.acc = if f.started { f.acc.min(v) } else { v };
-                f.started = true;
-            }
-            AggKind::Avg => {
-                f.acc += v;
-                f.n += 1;
-            }
-        }
+        f.acc.push(v);
     }
 
     /// Yields the next element of the top aggregate frame (charging one
@@ -764,26 +750,8 @@ impl<'a> Vm<'a> {
             Ok(())
         } else {
             let f = self.frames.pop().expect("aggregate frame underflow");
-            let v = match f.kind {
-                AggKind::Count => f.n as f64,
-                AggKind::Sum => f.acc,
-                AggKind::Max | AggKind::Min => {
-                    if f.started {
-                        f.acc
-                    } else {
-                        0.0
-                    }
-                }
-                AggKind::Avg => {
-                    if f.n == 0 {
-                        0.0
-                    } else {
-                        f.acc / f.n as f64
-                    }
-                }
-            };
             self.ctx = f.saved_ctx;
-            self.push_num(v)?;
+            self.push_num(f.acc.finish())?;
             *pc = f.end_pc as usize;
             Ok(())
         }
@@ -827,87 +795,48 @@ impl<'a> Vm<'a> {
 fn fused_eval(arena: &IrArena, meta: &FusedAggMeta, ctx: u32) -> (u64, Result<f64, EvalError>) {
     // The aggregate node's own entry charge.
     let mut steps = 1u64;
-    let mut acc = 0.0f64;
-    let mut n = 0u64;
-    let mut started = false;
-    // Block-scoped so the closure's borrows of the accumulators end
-    // before the finalisation below reads them.
-    let result = {
-        let mut element = |j: u32, steps: &mut u64| -> Result<(), EvalError> {
-            *steps += 1; // the per-element `for_each` charge
-            for p in &meta.preds {
-                if !pure_pred_matches(arena, j, p, steps) {
-                    return Ok(());
-                }
+    let mut acc = Acc::new(meta.kind);
+    let mut element = |j: u32, steps: &mut u64| -> Result<(), EvalError> {
+        *steps += 1; // the per-element `for_each` charge
+        for p in &meta.preds {
+            if !pure_pred_matches(arena, j, p, steps) {
+                return Ok(());
             }
-            let v = match &meta.body {
-                FusedBody::None => {
-                    n += 1;
-                    return Ok(());
-                }
-                FusedBody::Const(c) => {
-                    *steps += 1;
-                    *c
-                }
-                FusedBody::Attr(a) => {
-                    *steps += 1;
-                    arena.attr(j, *a).and_then(|x| x.as_num()).unwrap_or(0.0)
-                }
-                FusedBody::Count(cm) => {
-                    let (cost, m) = indexed_count_at(arena, j, cm);
-                    *steps += cost;
-                    m as f64
-                }
-            };
-            if !v.is_finite() {
-                return Err(EvalError::NonFinite);
+        }
+        let v = match &meta.body {
+            FusedBody::None => {
+                acc.count();
+                return Ok(());
             }
-            match meta.kind {
-                AggKind::Count => n += 1,
-                AggKind::Sum => acc += v,
-                AggKind::Max => {
-                    acc = if started { acc.max(v) } else { v };
-                    started = true;
-                }
-                AggKind::Min => {
-                    acc = if started { acc.min(v) } else { v };
-                    started = true;
-                }
-                AggKind::Avg => {
-                    acc += v;
-                    n += 1;
-                }
+            FusedBody::Const(c) => {
+                *steps += 1;
+                *c
             }
-            Ok(())
+            FusedBody::Attr(a) => {
+                *steps += 1;
+                arena.attr(j, *a).and_then(|x| x.as_num()).unwrap_or(0.0)
+            }
+            FusedBody::Count(cm) => {
+                let (cost, m) = indexed_count_at(arena, j, cm);
+                *steps += cost;
+                m as f64
+            }
         };
-        if meta.children_base {
-            arena.children(ctx).try_for_each(|j| element(j, &mut steps))
-        } else {
-            (ctx + 1..arena.subtree_end(ctx)).try_for_each(|j| element(j, &mut steps))
+        if !v.is_finite() {
+            return Err(EvalError::NonFinite);
         }
+        acc.push(v);
+        Ok(())
     };
-    if let Err(e) = result {
-        return (steps, Err(e));
+    let result = if meta.children_base {
+        arena.children(ctx).try_for_each(|j| element(j, &mut steps))
+    } else {
+        (ctx + 1..arena.subtree_end(ctx)).try_for_each(|j| element(j, &mut steps))
+    };
+    match result {
+        Ok(()) => (steps, Ok(acc.finish())),
+        Err(e) => (steps, Err(e)),
     }
-    let v = match meta.kind {
-        AggKind::Count => n as f64,
-        AggKind::Sum => acc,
-        AggKind::Max | AggKind::Min => {
-            if started {
-                acc
-            } else {
-                0.0
-            }
-        }
-        AggKind::Avg => {
-            if n == 0 {
-                0.0
-            } else {
-                acc / n as f64
-            }
-        }
-    };
-    (steps, Ok(v))
 }
 
 /// Computes one indexed-count site at context node `ctx`: the exact step
@@ -1087,6 +1016,8 @@ struct PlanEval<'a> {
     arena: &'a IrArena,
     /// Budget remaining when the plan started (`Vm::remaining`).
     limit: u64,
+    /// The pool's columnar-sweep counters, when run from a pool.
+    sweep: Option<&'a SweepCounters>,
 }
 
 impl PlanEval<'_> {
@@ -1125,9 +1056,7 @@ impl PlanEval<'_> {
         ) {
             return self.count_leaf_cmp(ctx, *op, *a, *b, steps);
         }
-        let mut acc = 0.0f64;
-        let mut n = 0u64;
-        let mut started = false;
+        let mut acc = Acc::new(plan.kind);
         if let Some(cov) = &plan.cover {
             let (lo, hi) = (ctx + 1, self.arena.subtree_end(ctx));
             // Merge the cover postings slices (each sorted, deduplicated
@@ -1166,7 +1095,7 @@ impl PlanEval<'_> {
                 if *steps > self.limit {
                     return Err(EvalError::BudgetExceeded);
                 }
-                self.element(j, &plan.preds, plan, steps, &mut acc, &mut n, &mut started)?;
+                self.element(j, plan, steps, &mut acc)?;
             }
             *steps += u64::from(hi - prev) * cov.skip_per;
         } else if plan.children_base {
@@ -1177,59 +1106,33 @@ impl PlanEval<'_> {
                 if *steps > self.limit {
                     return Err(EvalError::BudgetExceeded);
                 }
-                self.element(j, &plan.preds, plan, steps, &mut acc, &mut n, &mut started)?;
+                self.element(j, plan, steps, &mut acc)?;
                 j = self.arena.subtree_end(j);
             }
         } else {
-            if plan.preds.is_empty() {
-                if let Some(body) = &plan.body {
-                    if let Some(r) = self.column_agg(ctx, plan.kind, body, steps) {
-                        return r;
-                    }
-                }
+            if let Some(r) = self.column_agg(ctx, plan, steps) {
+                return r;
             }
             for j in ctx + 1..self.arena.subtree_end(ctx) {
                 *steps += 1;
                 if *steps > self.limit {
                     return Err(EvalError::BudgetExceeded);
                 }
-                self.element(j, &plan.preds, plan, steps, &mut acc, &mut n, &mut started)?;
+                self.element(j, plan, steps, &mut acc)?;
             }
         }
-        let v = match plan.kind {
-            AggKind::Count => n as f64,
-            AggKind::Sum => acc,
-            AggKind::Max | AggKind::Min => {
-                if started {
-                    acc
-                } else {
-                    0.0
-                }
-            }
-            AggKind::Avg => {
-                if n == 0 {
-                    0.0
-                } else {
-                    acc / n as f64
-                }
-            }
-        };
-        self.finite(v, *steps)
+        self.finite(acc.finish(), *steps)
     }
 
-    /// One element: remaining predicates, then body accumulation.
-    #[allow(clippy::too_many_arguments)]
+    /// One element: the filter predicates, then body accumulation.
     fn element(
         &self,
         j: u32,
-        preds: &[PlanPred],
         plan: &PlanAgg,
         steps: &mut u64,
-        acc: &mut f64,
-        n: &mut u64,
-        started: &mut bool,
+        acc: &mut Acc,
     ) -> Result<(), EvalError> {
-        for p in preds {
+        for p in &plan.preds {
             let holds = match p {
                 PlanPred::Pure(pp) => pure_pred_matches(self.arena, j, pp, steps),
                 PlanPred::Dyn(pb) => self.boolean(j, pb, steps)?,
@@ -1238,28 +1141,9 @@ impl PlanEval<'_> {
                 return Ok(());
             }
         }
-        let v = match &plan.body {
-            None => {
-                *n += 1; // `count` has no body
-                return Ok(());
-            }
-            Some(b) => self.expr(j, b, steps)?,
-        };
-        match plan.kind {
-            AggKind::Count => *n += 1,
-            AggKind::Sum => *acc += v,
-            AggKind::Max => {
-                *acc = if *started { acc.max(v) } else { v };
-                *started = true;
-            }
-            AggKind::Min => {
-                *acc = if *started { acc.min(v) } else { v };
-                *started = true;
-            }
-            AggKind::Avg => {
-                *acc += v;
-                *n += 1;
-            }
+        match &plan.body {
+            None => acc.count(), // `count` has no body
+            Some(b) => acc.push(self.expr(j, b, steps)?),
         }
         Ok(())
     }
@@ -1330,19 +1214,7 @@ impl PlanEval<'_> {
                 *steps += 1;
                 let x = self.expr(j, a, steps)?;
                 let y = self.expr(j, b, steps)?;
-                let v = match op {
-                    ArithOp::Add => x + y,
-                    ArithOp::Sub => x - y,
-                    ArithOp::Mul => x * y,
-                    ArithOp::Div => {
-                        if y.abs() < 1e-12 {
-                            0.0
-                        } else {
-                            x / y
-                        }
-                    }
-                };
-                self.finite(v, *steps)
+                self.finite(arith(*op, x, y), *steps)
             }
             PlanExpr::Neg(a) => {
                 *steps += 1;
@@ -1393,7 +1265,7 @@ impl PlanEval<'_> {
         *steps += 1; // the aggregate node's entry charge
         if children_base {
             let end = self.arena.subtree_end(ctx);
-            let (mut acc, mut n, mut started) = (0.0f64, 0u64, false);
+            let mut acc = Acc::new(kind);
             let mut j = ctx + 1;
             while j < end {
                 let (c, v) = self.leaf_arg_at(j, body);
@@ -1401,33 +1273,10 @@ impl PlanEval<'_> {
                 if !v.is_finite() {
                     return Err(self.non_finite(*steps));
                 }
-                n += 1;
-                match kind {
-                    AggKind::Sum | AggKind::Avg => acc += v,
-                    AggKind::Max => acc = if started { acc.max(v) } else { v },
-                    AggKind::Min => acc = if started { acc.min(v) } else { v },
-                    AggKind::Count => unreachable!("count aggregates have no body"),
-                }
-                started = true;
+                acc.push(v);
                 j = self.arena.subtree_end(j);
             }
-            let v = match kind {
-                AggKind::Avg => {
-                    if n == 0 {
-                        0.0
-                    } else {
-                        acc / n as f64
-                    }
-                }
-                _ => {
-                    if started {
-                        acc
-                    } else {
-                        0.0
-                    }
-                }
-            };
-            return self.finite(v, *steps);
+            return self.finite(acc.finish(), *steps);
         }
         let (lo, hi) = (ctx + 1, self.arena.subtree_end(ctx));
         let n = u64::from(hi - lo);
@@ -1627,80 +1476,153 @@ impl PlanEval<'_> {
         self.finite(n as f64, *steps)
     }
 
-    /// Columnar evaluation of a predicate-free descendants aggregate with
-    /// a column-supported body: bottom-up passes produce the body's value
-    /// column and exact per-element step-cost column for every element at
-    /// once (children-base sub-aggregates scatter child values to their
-    /// parents through the arena's parent array), then a single in-order
-    /// fold finishes the aggregate.
+    /// Columnar evaluation of a `//*` aggregate level without a cover.
     ///
-    /// Exactness: every per-parent accumulation visits children in
-    /// increasing preorder — the interpreter's iteration order — so each
-    /// floating-point fold performs the identical operation sequence. The
-    /// fast path is *optimistic*: it returns `None` (and the scalar loop
-    /// reproduces the interpreter's exact error point) when the range is
-    /// small, any intermediate value the interpreter would finite-check is
-    /// non-finite, or the bulk charge would exceed the budget.
+    /// Bottom-up passes produce, for every node of the range at once, the
+    /// value column and the exact per-node step-cost column of each filter
+    /// gate and of the body; a final fold at `ctx` finishes the aggregate.
+    /// A nested aggregate level is itself one column: each node folds its
+    /// own element range (children by sibling jumps, descendants as the
+    /// preorder range `i + 1..subtree_end(i)`) sequentially over the level
+    /// below, so every aggregate is evaluated once per node instead of once
+    /// per enclosing context, in `O(levels · nodes · depth)`.
+    ///
+    /// Exactness: every fold visits elements in increasing preorder — the
+    /// interpreter's iteration order — with its gates short-circuiting, so
+    /// each floating-point fold performs the identical operation sequence
+    /// and each cost sums exactly the interpreter's unit charges (with
+    /// saturating arithmetic: nested costs grow like `nodes^levels`). The
+    /// sweep is *optimistic*: when any value the interpreter could
+    /// finite-check is non-finite (conservatively, even one no element
+    /// consumes) it returns `None` and the scalar loop reproduces the
+    /// interpreter's exact error point. With every value finite the
+    /// interpreter raises nothing, so the summed cost alone decides the
+    /// budget: over the limit is `BudgetExceeded`, as the interpreter would
+    /// end.
     fn column_agg(
         &self,
         ctx: u32,
-        kind: AggKind,
-        body: &PlanExpr,
+        plan: &PlanAgg,
         steps: &mut u64,
     ) -> Option<Result<f64, EvalError>> {
         let (lo, hi) = (ctx + 1, self.arena.subtree_end(ctx));
-        if hi - lo < COLUMN_MIN || matches!(kind, AggKind::Count) || !column_supported(body) {
+        if hi - lo < COLUMN_MIN || !sweeps_well(plan) {
             return None;
         }
-        COL_POOL.with(|p| {
+        let folded = COL_POOL.with(|p| {
             let mut pool = p.try_borrow_mut().ok()?;
             let mut ok = true;
-            let col = self.col_expr(body, lo, hi, &mut pool, &mut ok);
-            let result = self.column_fold(kind, &col, steps, ok);
-            pool.push(col);
-            result
-        })
+            let level = self.col_level(plan, lo, hi, &mut pool, &mut ok);
+            let folded = ok.then(|| self.col_fold(ctx, plan, &level, lo));
+            level.release(&mut pool);
+            folded
+        });
+        let counted = |c: Option<&AtomicU64>| {
+            if let Some(c) = c {
+                c.fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        let Some((v, cost)) = folded else {
+            counted(self.sweep.map(|s| &s.fallbacks));
+            return None;
+        };
+        let total = steps.saturating_add(cost);
+        if total > self.limit {
+            counted(self.sweep.map(|s| &s.commits));
+            *steps = total;
+            return Some(Err(EvalError::BudgetExceeded));
+        }
+        if total == u64::MAX {
+            // Saturated at an unbounded limit: the true total is unknown.
+            counted(self.sweep.map(|s| &s.fallbacks));
+            return None;
+        }
+        counted(self.sweep.map(|s| &s.commits));
+        *steps = total;
+        Some(self.finite(v, total))
     }
 
-    /// Final fold of the top-level column: bulk budget check first, then
-    /// the aggregate's in-order value fold and the final finiteness check.
-    fn column_fold(
+    /// The gate columns (one per filter, in evaluation order) and the body
+    /// column of one aggregate level over `lo..hi`.
+    fn col_level(
         &self,
-        kind: AggKind,
-        col: &ColBuf,
-        steps: &mut u64,
-        ok: bool,
-    ) -> Option<Result<f64, EvalError>> {
-        if !ok {
-            return None;
-        }
-        let n = col.val.len() as u64;
-        // One `for_each` charge per element plus the body's exact cost.
-        let mut total = n;
-        for c in &col.cost {
-            total += c;
-        }
-        if *steps + total > self.limit {
-            return None;
-        }
-        *steps += total;
-        let v = match kind {
-            AggKind::Sum | AggKind::Avg => {
-                let mut acc = 0.0f64;
-                for &v in &col.val {
-                    acc += v;
+        plan: &PlanAgg,
+        lo: u32,
+        hi: u32,
+        pool: &mut Vec<ColBuf>,
+        ok: &mut bool,
+    ) -> ColLevel {
+        let gates = plan
+            .preds
+            .iter()
+            .map(|p| match p {
+                PlanPred::Pure(pp) => {
+                    let mut b = acquire(pool, (hi - lo) as usize, 0.0, 0);
+                    for j in lo..hi {
+                        let x = (j - lo) as usize;
+                        b.val[x] = f64::from(u8::from(pure_pred_matches(
+                            self.arena,
+                            j,
+                            pp,
+                            &mut b.cost[x],
+                        )));
+                    }
+                    b
                 }
-                if matches!(kind, AggKind::Avg) && n > 0 {
-                    acc / n as f64
-                } else {
-                    acc
+                PlanPred::Dyn(pb) => self.col_bool(pb, lo, hi, pool, ok),
+            })
+            .collect();
+        let body = plan
+            .body
+            .as_ref()
+            .map(|b| self.col_expr(b, lo, hi, pool, ok));
+        ColLevel { gates, body }
+    }
+
+    /// One aggregate level at node `i` from its columns: the elements in
+    /// interpreter order, each charged its `for_each` step and its gates
+    /// up to the first that fails, then its body. Returns the value and the
+    /// cost *excluding* the aggregate's own entry charge.
+    #[inline]
+    fn col_fold(&self, i: u32, plan: &PlanAgg, level: &ColLevel, lo: u32) -> (f64, u64) {
+        let end = self.arena.subtree_end(i);
+        let mut acc = Acc::new(plan.kind);
+        let mut cost = 0u64;
+        if let ([], Some(b)) = (level.gates.as_slice(), &level.body) {
+            // The dominant shapes, unfiltered: a `//*` level folds the body
+            // column's contiguous range, a `/*` level hops over children.
+            if !plan.children_base {
+                let range = (i + 1 - lo) as usize..(end - lo) as usize;
+                let cost = b.cost[range.clone()]
+                    .iter()
+                    .fold(range.len() as u64, |t, &c| t.saturating_add(c));
+                return (Acc::fold(plan.kind, &b.val[range]), cost);
+            }
+            for k in self.arena.children(i) {
+                let x = (k - lo) as usize;
+                cost = cost.saturating_add(1).saturating_add(b.cost[x]);
+                acc.push(b.val[x]);
+            }
+            return (acc.finish(), cost);
+        }
+        let mut k = i + 1;
+        while k < end {
+            let x = (k - lo) as usize;
+            k = if plan.children_base {
+                self.arena.subtree_end(k)
+            } else {
+                k + 1
+            };
+            let (holds, c) = level.element(x);
+            cost = cost.saturating_add(c);
+            if holds {
+                match &level.body {
+                    Some(b) => acc.push(b.val[x]),
+                    None => acc.count(),
                 }
             }
-            AggKind::Max => col.val.iter().copied().reduce(f64::max).unwrap_or(0.0),
-            AggKind::Min => col.val.iter().copied().reduce(f64::min).unwrap_or(0.0),
-            AggKind::Count => unreachable!("count aggregates never take the columnar path"),
-        };
-        Some(self.finite(v, *steps))
+        }
+        (acc.finish(), cost)
     }
 
     /// Evaluates `e` for **every** node in `lo..hi` at once, returning the
@@ -1732,27 +1654,25 @@ impl PlanEval<'_> {
                 *ok &= fin;
                 b
             }
+            PlanExpr::Count(meta) => {
+                let mut b = acquire(pool, n, 0.0, 0);
+                for j in lo..hi {
+                    let (cost, m) = indexed_count_at(self.arena, j, meta);
+                    let x = (j - lo) as usize;
+                    b.val[x] = m as f64;
+                    b.cost[x] = cost;
+                }
+                b
+            }
             PlanExpr::Arith(op, x, y) => {
                 let mut a = self.col_expr(x, lo, hi, pool, ok);
                 let b = self.col_expr(y, lo, hi, pool, ok);
                 let mut fin = true;
                 for (i, (va, ca)) in a.val.iter_mut().zip(&mut a.cost).enumerate() {
-                    let vb = b.val[i];
-                    let v = match op {
-                        ArithOp::Add => *va + vb,
-                        ArithOp::Sub => *va - vb,
-                        ArithOp::Mul => *va * vb,
-                        ArithOp::Div => {
-                            if vb.abs() < 1e-12 {
-                                0.0
-                            } else {
-                                *va / vb
-                            }
-                        }
-                    };
+                    let v = arith(*op, *va, b.val[i]);
                     fin &= v.is_finite();
                     *va = v;
-                    *ca += 1 + b.cost[i];
+                    *ca = ca.saturating_add(1).saturating_add(b.cost[i]);
                 }
                 *ok &= fin;
                 pool.push(b);
@@ -1764,81 +1684,82 @@ impl PlanEval<'_> {
                 for (v, c) in a.val.iter_mut().zip(&mut a.cost) {
                     *v = -*v;
                     fin &= v.is_finite();
-                    *c += 1;
+                    *c = c.saturating_add(1);
                 }
                 *ok &= fin;
                 a
             }
-            // `column_supported` guarantees `children_base` here.
-            PlanExpr::LeafAgg { kind, body, .. } => {
-                if matches!(kind, AggKind::Sum | AggKind::Avg) {
-                    if let LeafArg::Attr(name) = body {
-                        return self.col_leaf_attr_sum(*kind, *name, lo, hi, pool, ok);
-                    }
-                }
-                let mut out = acquire(pool, n, 0.0, 1);
-                if let LeafArg::Const(c) = body {
-                    *ok &= c.is_finite();
-                }
-                let check_leaf = matches!(body, LeafArg::Attr(_));
+            PlanExpr::LeafAgg {
+                kind: kind @ (AggKind::Sum | AggKind::Avg),
+                children_base: true,
+                body: LeafArg::Attr(name),
+            } => self.col_leaf_attr_sum(*kind, *name, lo, hi, pool, ok),
+            PlanExpr::LeafAgg {
+                kind,
+                children_base: true,
+                body,
+            } => {
+                let mut out = acquire(pool, n, 0.0, 0);
                 let mut fin = true;
-                for i in lo..hi {
-                    let mut acc = 0.0f64;
+                for j in lo..hi {
+                    let mut acc = Acc::new(*kind);
                     let mut cost = 1u64;
-                    let mut count = 0u32;
-                    let end = self.arena.subtree_end(i);
-                    let mut k = i + 1;
+                    let end = self.arena.subtree_end(j);
+                    let mut k = j + 1;
                     while k < end {
-                        let (lc, lv) = self.leaf_arg_at(k, *body);
-                        if check_leaf {
-                            fin &= lv.is_finite();
-                        }
-                        cost += 1 + lc;
-                        acc = scatter_accum(*kind, acc, lv, count == 0);
-                        count += 1;
+                        let (c, v) = self.leaf_arg_at(k, *body);
+                        fin &= v.is_finite();
+                        cost += 1 + c;
+                        acc.push(v);
                         k = self.arena.subtree_end(k);
                     }
-                    let v = finish_agg(*kind, acc, count);
+                    let v = acc.finish();
                     fin &= v.is_finite();
-                    let idx = (i - lo) as usize;
-                    out.val[idx] = v;
-                    out.cost[idx] = cost;
+                    let x = (j - lo) as usize;
+                    out.val[x] = v;
+                    out.cost[x] = cost;
                 }
                 *ok &= fin;
+                out
+            }
+            // A `//*` leaf level is one flat loop per node: the scalar
+            // evaluator already charges it exactly (in closed form where
+            // it can), and any error clears `ok`.
+            PlanExpr::LeafAgg {
+                kind,
+                children_base: false,
+                body,
+            } => {
+                let mut out = acquire(pool, n, 0.0, 0);
+                for j in lo..hi {
+                    let x = (j - lo) as usize;
+                    match self.leaf_agg(j, *kind, false, *body, &mut out.cost[x]) {
+                        Ok(v) => out.val[x] = v,
+                        Err(_) => {
+                            *ok = false;
+                            break;
+                        }
+                    }
+                }
                 out
             }
             PlanExpr::Agg(inner) => {
-                let body = inner
-                    .body
-                    .as_ref()
-                    .expect("column_supported requires a body");
-                let b = self.col_expr(body, lo, hi, pool, ok);
-                let mut out = acquire(pool, n, 0.0, 1);
-                let mut fin = true;
-                for i in lo..hi {
-                    let mut acc = 0.0f64;
-                    let mut cost = 1u64;
-                    let mut count = 0u32;
-                    let end = self.arena.subtree_end(i);
-                    let mut k = i + 1;
-                    while k < end {
-                        let ki = (k - lo) as usize;
-                        cost += 1 + b.cost[ki];
-                        acc = scatter_accum(inner.kind, acc, b.val[ki], count == 0);
-                        count += 1;
-                        k = self.arena.subtree_end(k);
+                let level = self.col_level(inner, lo, hi, pool, ok);
+                let mut out = acquire(pool, n, 0.0, 0);
+                if *ok {
+                    let mut fin = true;
+                    for j in lo..hi {
+                        let (v, c) = self.col_fold(j, inner, &level, lo);
+                        let x = (j - lo) as usize;
+                        fin &= v.is_finite();
+                        out.val[x] = v;
+                        out.cost[x] = c.saturating_add(1);
                     }
-                    let v = finish_agg(inner.kind, acc, count);
-                    fin &= v.is_finite();
-                    let idx = (i - lo) as usize;
-                    out.val[idx] = v;
-                    out.cost[idx] = cost;
+                    *ok &= fin;
                 }
-                *ok &= fin;
-                pool.push(b);
+                level.release(pool);
                 out
             }
-            PlanExpr::Count(_) => unreachable!("column_supported rejects Count"),
         }
     }
 
@@ -1885,6 +1806,94 @@ impl PlanEval<'_> {
         *ok &= fin;
         out
     }
+
+    /// Evaluates predicate `e` for every node in `lo..hi` at once: the
+    /// verdict column (`1.0` / `0.0`) and the exact per-node cost column,
+    /// with `&&` / `||` charging their right operand only where the
+    /// interpreter's short-circuit evaluates it and a child probe charging
+    /// its inner predicate only where the child exists.
+    fn col_bool(
+        &self,
+        e: &PlanBool,
+        lo: u32,
+        hi: u32,
+        pool: &mut Vec<ColBuf>,
+        ok: &mut bool,
+    ) -> ColBuf {
+        let n = (hi - lo) as usize;
+        let verdict = |b: bool| f64::from(u8::from(b));
+        match e {
+            PlanBool::Atom(a) => {
+                let mut b = acquire(pool, n, 0.0, 1);
+                for j in lo..hi {
+                    b.val[(j - lo) as usize] = verdict(pure_atom_matches(self.arena, j, a));
+                }
+                b
+            }
+            PlanBool::Cmp(op, x, y) => {
+                let mut a = self.col_expr(x, lo, hi, pool, ok);
+                let b = self.col_expr(y, lo, hi, pool, ok);
+                for (i, (va, ca)) in a.val.iter_mut().zip(&mut a.cost).enumerate() {
+                    *va = verdict(op.apply(*va, b.val[i]));
+                    *ca = ca.saturating_add(1).saturating_add(b.cost[i]);
+                }
+                pool.push(b);
+                a
+            }
+            PlanBool::LeafCmp(op, x, y) => {
+                let mut b = acquire(pool, n, 0.0, 0);
+                let mut fin = true;
+                for j in lo..hi {
+                    let (cx, vx) = self.leaf_arg_at(j, *x);
+                    let (cy, vy) = self.leaf_arg_at(j, *y);
+                    fin &= vx.is_finite() && vy.is_finite();
+                    let i = (j - lo) as usize;
+                    b.val[i] = verdict(op.apply(vx, vy));
+                    b.cost[i] = 1 + cx + cy;
+                }
+                *ok &= fin;
+                b
+            }
+            PlanBool::Not(x) => {
+                let mut a = self.col_bool(x, lo, hi, pool, ok);
+                for (v, c) in a.val.iter_mut().zip(&mut a.cost) {
+                    *v = 1.0 - *v;
+                    *c = c.saturating_add(1);
+                }
+                a
+            }
+            PlanBool::And(x, y) | PlanBool::Or(x, y) => {
+                // The right operand runs where the left one does not
+                // decide: true for `&&`, false for `||`.
+                let goes_on = verdict(matches!(e, PlanBool::And(..)));
+                let mut a = self.col_bool(x, lo, hi, pool, ok);
+                let b = self.col_bool(y, lo, hi, pool, ok);
+                for (i, (va, ca)) in a.val.iter_mut().zip(&mut a.cost).enumerate() {
+                    *ca = ca.saturating_add(1);
+                    if *va == goes_on {
+                        *ca = ca.saturating_add(b.cost[i]);
+                        *va = b.val[i];
+                    }
+                }
+                pool.push(b);
+                a
+            }
+            PlanBool::Child(idx, inner) => {
+                let c = self.col_bool(inner, lo, hi, pool, ok);
+                let mut b = acquire(pool, n, 0.0, 1);
+                for j in lo..hi {
+                    // A child of a node in the range lies in the range.
+                    if let Some(child) = self.arena.nth_child(j, *idx as usize) {
+                        let (i, x) = ((j - lo) as usize, (child - lo) as usize);
+                        b.val[i] = c.val[x];
+                        b.cost[i] = c.cost[x].saturating_add(1);
+                    }
+                }
+                pool.push(c);
+                b
+            }
+        }
+    }
 }
 
 /// Minimum element count for the columnar aggregate sweep; below this the
@@ -1897,6 +1906,38 @@ const COLUMN_MIN: u32 = 8;
 struct ColBuf {
     val: Vec<f64>,
     cost: Vec<u64>,
+}
+
+/// The columns of one aggregate level: its filter gates in evaluation
+/// order and its body (`None` for `count`).
+struct ColLevel {
+    gates: Vec<ColBuf>,
+    body: Option<ColBuf>,
+}
+
+impl ColLevel {
+    /// Element `x` of the level: whether all its gates hold, and what it
+    /// costs — its `for_each` step, its gates up to the first that fails
+    /// and, when all hold, its body.
+    #[inline]
+    fn element(&self, x: usize) -> (bool, u64) {
+        let mut cost = 1u64;
+        for g in &self.gates {
+            cost = cost.saturating_add(g.cost[x]);
+            if g.val[x] == 0.0 {
+                return (false, cost);
+            }
+        }
+        if let Some(b) = &self.body {
+            cost = cost.saturating_add(b.cost[x]);
+        }
+        (true, cost)
+    }
+
+    fn release(self, pool: &mut Vec<ColBuf>) {
+        pool.extend(self.gates);
+        pool.extend(self.body);
+    }
 }
 
 thread_local! {
@@ -1917,63 +1958,171 @@ fn acquire(pool: &mut Vec<ColBuf>, n: usize, v0: f64, c0: u64) -> ColBuf {
     b
 }
 
-/// Finishes one gathered children-base aggregate: empty aggregates yield
-/// `0.0` and `Avg` divides by the child count, exactly as the interpreter
-/// does at aggregate exit.
-#[inline]
-fn finish_agg(kind: AggKind, acc: f64, count: u32) -> f64 {
-    if count == 0 {
-        0.0
-    } else if matches!(kind, AggKind::Avg) {
-        acc / f64::from(count)
-    } else {
-        acc
+/// The shape rule for [`PlanEval::column_agg`]. The sweep computes every
+/// column at every node of the range, so it pays off where the scalar
+/// loop would do that work at (nearly) every element anyway:
+///
+/// - a predicate-free level — its body runs at every element;
+/// - a level whose *first* filter — the only one every element runs —
+///   reaches a nested non-leaf aggregate level outside any short-circuit;
+/// - a level behind a pure first filter whose body holds a nested `//*`
+///   level over further aggregates: the scalar loop repeats that whole
+///   nest for every element that passes, so one passing element near the
+///   root already costs about a sweep.
+///
+/// Behind a selective filter or a short-circuit the scalar loop evaluates
+/// any other nested work at a few elements only, and columns would waste
+/// it on all the others.
+fn sweeps_well(plan: &PlanAgg) -> bool {
+    /// Whether `e` evaluates a nested non-leaf level unconditionally; with
+    /// `deep`, only a `//*` level counts, and only over further aggregates.
+    fn expr(e: &PlanExpr, deep: bool) -> bool {
+        match e {
+            PlanExpr::Agg(inner) => {
+                !deep
+                    || (!inner.children_base
+                        && inner.preds.is_empty()
+                        && inner.body.as_ref().is_some_and(aggregates))
+            }
+            PlanExpr::Arith(_, a, b) => expr(a, deep) || expr(b, deep),
+            PlanExpr::Neg(a) => expr(a, deep),
+            PlanExpr::Const(_) | PlanExpr::Attr(_) | PlanExpr::Count(_) => false,
+            PlanExpr::LeafAgg { .. } => false,
+        }
+    }
+    fn aggregates(e: &PlanExpr) -> bool {
+        match e {
+            PlanExpr::Agg(_) | PlanExpr::LeafAgg { .. } => true,
+            PlanExpr::Arith(_, a, b) => aggregates(a) || aggregates(b),
+            PlanExpr::Neg(a) => aggregates(a),
+            PlanExpr::Const(_) | PlanExpr::Attr(_) | PlanExpr::Count(_) => false,
+        }
+    }
+    // Only the left operand of `&&` / `||` runs at every element.
+    fn boolean(b: &PlanBool) -> bool {
+        match b {
+            PlanBool::Cmp(_, x, y) => expr(x, false) || expr(y, false),
+            PlanBool::Not(x) | PlanBool::And(x, _) | PlanBool::Or(x, _) => boolean(x),
+            PlanBool::Atom(_) | PlanBool::LeafCmp(..) | PlanBool::Child(..) => false,
+        }
+    }
+    match plan.preds.first() {
+        None => true,
+        Some(PlanPred::Dyn(b)) => boolean(b),
+        Some(PlanPred::Pure(_)) => plan.body.as_ref().is_some_and(|b| expr(b, true)),
     }
 }
 
-/// One child value arriving at its parent's accumulator. `first` is true
-/// for the parent's first child (preorder index `parent + 1`), which seeds
-/// `Max`/`Min` exactly like the interpreter's `started` flag.
+/// The protected arithmetic of the interpreter's `Arith` node.
 #[inline]
-fn scatter_accum(kind: AggKind, acc: f64, v: f64, first: bool) -> f64 {
-    match kind {
-        AggKind::Sum | AggKind::Avg => acc + v,
-        AggKind::Max => {
-            if first {
-                v
+fn arith(op: ArithOp, a: f64, b: f64) -> f64 {
+    match op {
+        ArithOp::Add => a + b,
+        ArithOp::Sub => a - b,
+        ArithOp::Mul => a * b,
+        ArithOp::Div => {
+            if b.abs() < 1e-12 {
+                0.0
             } else {
-                acc.max(v)
+                a / b
             }
         }
-        AggKind::Min => {
-            if first {
-                v
-            } else {
-                acc.min(v)
-            }
-        }
-        AggKind::Count => unreachable!("count sub-aggregates never take the columnar path"),
     }
 }
 
-/// Whether `e` can be evaluated as a column over a preorder range:
-/// per-node leaves, arithmetic, and predicate-free children-base
-/// aggregates (which scatter child values to parents in one pass).
-/// Descendants-base sub-aggregates are excluded — their range folds
-/// cannot reuse prefix sums without changing floating-point rounding.
-fn column_supported(e: &PlanExpr) -> bool {
-    match e {
-        PlanExpr::Const(_) | PlanExpr::Attr(_) => true,
-        PlanExpr::LeafAgg { children_base, .. } => *children_base,
-        PlanExpr::Agg(inner) => {
-            inner.children_base
-                && inner.preds.is_empty()
-                && !matches!(inner.kind, AggKind::Count)
-                && inner.body.as_ref().is_some_and(column_supported)
+/// One aggregate's running state: the interpreter's fold for each kind.
+#[derive(Debug, Clone, Copy)]
+struct Acc {
+    kind: AggKind,
+    acc: f64,
+    n: u64,
+    started: bool,
+}
+
+impl Acc {
+    fn new(kind: AggKind) -> Acc {
+        Acc {
+            kind,
+            acc: 0.0,
+            n: 0,
+            started: false,
         }
-        PlanExpr::Arith(_, a, b) => column_supported(a) && column_supported(b),
-        PlanExpr::Neg(a) => column_supported(a),
-        PlanExpr::Count(_) => false,
+    }
+
+    /// Folds one element's body value.
+    #[inline]
+    fn push(&mut self, v: f64) {
+        match self.kind {
+            AggKind::Count => self.n += 1,
+            AggKind::Sum => self.acc += v,
+            AggKind::Max => {
+                self.acc = if self.started { self.acc.max(v) } else { v };
+                self.started = true;
+            }
+            AggKind::Min => {
+                self.acc = if self.started { self.acc.min(v) } else { v };
+                self.started = true;
+            }
+            AggKind::Avg => {
+                self.acc += v;
+                self.n += 1;
+            }
+        }
+    }
+
+    /// Counts one element of a bodiless `count`.
+    #[inline]
+    fn count(&mut self) {
+        self.n += 1;
+    }
+
+    /// The aggregate of `vals` in order: [`Acc::push`] each, then
+    /// [`Acc::finish`], with the kind dispatched once instead of per value.
+    fn fold(kind: AggKind, vals: &[f64]) -> f64 {
+        let mut acc = Acc::new(kind);
+        match kind {
+            AggKind::Count => acc.n = vals.len() as u64,
+            AggKind::Sum | AggKind::Avg => {
+                for &v in vals {
+                    acc.acc += v;
+                }
+                acc.n = vals.len() as u64;
+            }
+            AggKind::Max | AggKind::Min => {
+                let pick = if matches!(kind, AggKind::Max) {
+                    f64::max
+                } else {
+                    f64::min
+                };
+                if let Some(v) = vals.iter().copied().reduce(pick) {
+                    acc.acc = v;
+                    acc.started = true;
+                }
+            }
+        }
+        acc.finish()
+    }
+
+    /// The aggregate value at exit: empty aggregates yield `0.0`.
+    fn finish(self) -> f64 {
+        match self.kind {
+            AggKind::Count => self.n as f64,
+            AggKind::Sum => self.acc,
+            AggKind::Max | AggKind::Min => {
+                if self.started {
+                    self.acc
+                } else {
+                    0.0
+                }
+            }
+            AggKind::Avg => {
+                if self.n == 0 {
+                    0.0
+                } else {
+                    self.acc / self.n as f64
+                }
+            }
+        }
     }
 }
 
@@ -2142,6 +2291,10 @@ pub struct PoolStats {
     pub result_misses: u64,
     /// Filled CSE cache cells at snapshot time.
     pub cache_entries: u64,
+    /// Aggregates the columnar sweep decided (a value or `BudgetExceeded`).
+    pub column_commits: u64,
+    /// Columnar sweeps abandoned to the scalar loop (a non-finite value).
+    pub column_fallbacks: u64,
 }
 
 impl<'a> EvalPool<'a> {
@@ -2378,6 +2531,8 @@ impl<'a> EvalPool<'a> {
             result_hits: self.cache.hits.load(Ordering::Relaxed),
             result_misses: self.cache.misses.load(Ordering::Relaxed),
             cache_entries: self.cache_entries() as u64,
+            column_commits: self.cache.sweep.commits.load(Ordering::Relaxed),
+            column_fallbacks: self.cache.sweep.fallbacks.load(Ordering::Relaxed),
         }
     }
 
@@ -2399,6 +2554,8 @@ impl<'a> EvalPool<'a> {
         telemetry.gauge_set("eval.result_hits", s.result_hits as f64);
         telemetry.gauge_set("eval.result_misses", s.result_misses as f64);
         telemetry.gauge_set("eval.cache_entries", s.cache_entries as f64);
+        telemetry.gauge_set("eval.column_commits", s.column_commits as f64);
+        telemetry.gauge_set("eval.column_fallbacks", s.column_fallbacks as f64);
     }
 }
 

@@ -351,10 +351,10 @@ impl FeatureSearch {
         let tables: Vec<Vec<f64>> = examples.iter().map(|e| e.cycles.clone()).collect();
         let splits = internal_splits(cfg, examples.len());
         let score = |columns: &[Vec<f64>]| -> f64 {
-            let Some((data, presorted)) = fitness_model(columns, None, &labels, n_classes)
-            else {
+            let Some(data) = fitness_dataset(columns, None, &labels, n_classes) else {
                 return 0.0;
             };
+            let presorted = Presorted::new(&data);
             splits
                 .iter()
                 .map(|(train_idx, valid_idx)| {
@@ -438,17 +438,22 @@ impl FeatureSearch {
                 detail: "training examples must have non-empty cycle tables".into(),
             });
         }
+        let labels: Vec<usize> = examples.iter().map(|e| e.best_value()).collect();
+        let base_sorted =
+            fitness_dataset(&[], None, &labels, n_classes).map(|d| Presorted::new(&d));
         Ok(FitnessHarness {
             pool: self.pool(examples),
-            labels: examples.iter().map(|e| e.best_value()).collect(),
+            labels,
             tables: examples.iter().map(|e| e.cycles.clone()).collect(),
             splits: internal_splits(cfg, examples.len()),
             n_classes,
             tree: cfg.tree.clone(),
             budget: cfg.eval_budget_per_example,
             base_columns: Vec::new(),
+            base_sorted,
             column_us: AtomicU64::new(0),
             tree_us: AtomicU64::new(0),
+            tail: CandidateTail::default(),
         })
     }
 }
@@ -483,18 +488,84 @@ pub(crate) struct FitnessHarness<'e> {
     tree: TreeConfig,
     budget: u64,
     base_columns: Vec<Vec<f64>>,
+    /// The base columns presorted once per feature step (`None` only for a
+    /// malformed dataset, which scores every candidate 0.0 anyway); each
+    /// candidate then sorts only its own column.
+    base_sorted: Option<Presorted>,
     /// Wall µs [`FitnessHarness::fitness`] spent evaluating candidate
     /// columns, summed over the threads that called it.
     column_us: AtomicU64,
-    /// Wall µs it spent on the fitness models: assembling and presorting
-    /// the dataset, training the C4.5 trees and validating them.
+    /// Wall µs it spent on the fitness models: assembling the dataset,
+    /// sorting the candidate column, training the C4.5 trees and
+    /// validating them.
     tree_us: AtomicU64,
+    /// Candidates by column-eval time: where the column time goes.
+    tail: CandidateTail,
 }
 
-/// Adds the µs elapsed since `since` to `counter`.
-fn add_elapsed_us(counter: &AtomicU64, since: Instant) {
-    let us = u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX);
-    counter.fetch_add(us, Ordering::Relaxed);
+/// Wall µs elapsed since `since`.
+fn elapsed_us(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Buckets of [`CandidateTail`]; the last one, from 32.768 s, is open-ended.
+const TAIL_BUCKETS: usize = 32;
+
+/// A fixed histogram of candidate column-eval times: candidates and their
+/// summed µs per bucket. Bucket 0 holds everything under 1 ms; above it
+/// the floors follow two log₂ series, `1 ms · 2^k` and `1.25 ms · 2^k`,
+/// so that 1, 5 and 20 ms — the tail thresholds `fegen report` prints —
+/// are all bucket floors. Relaxed atomics, no allocation per candidate.
+#[derive(Default)]
+struct CandidateTail {
+    candidates: [AtomicU64; TAIL_BUCKETS],
+    us: [AtomicU64; TAIL_BUCKETS],
+}
+
+impl CandidateTail {
+    fn record(&self, us: u64) {
+        let b = tail_bucket(us);
+        self.candidates[b].fetch_add(1, Ordering::Relaxed);
+        self.us[b].fetch_add(us, Ordering::Relaxed);
+    }
+
+    /// Adds every non-empty bucket to the `search.tail_candidates.<floor>`
+    /// and `search.tail_us.<floor>` counters (floor in µs). Counters, not
+    /// gauges: searches sharing one telemetry handle (the folds of a
+    /// figure run) sum into one histogram.
+    fn record_telemetry(&self, telemetry: &Telemetry) {
+        for b in 0..TAIL_BUCKETS {
+            let n = self.candidates[b].load(Ordering::Relaxed);
+            if n > 0 {
+                let floor = tail_floor_us(b);
+                telemetry.counter_add(&format!("search.tail_candidates.{floor}"), n);
+                telemetry.counter_add(
+                    &format!("search.tail_us.{floor}"),
+                    self.us[b].load(Ordering::Relaxed),
+                );
+            }
+        }
+    }
+}
+
+/// The [`CandidateTail`] bucket of a column time.
+fn tail_bucket(us: u64) -> usize {
+    if us < 1_000 {
+        return 0;
+    }
+    // 1 ms · 2^octave <= us < 1 ms · 2^(octave + 1)
+    let octave = (us / 1_000).ilog2() as usize;
+    let upper = us >= 1_250 << octave;
+    (1 + 2 * octave + usize::from(upper)).min(TAIL_BUCKETS - 1)
+}
+
+/// The smallest column time in bucket `b`.
+fn tail_floor_us(b: usize) -> u64 {
+    match b {
+        0 => 0,
+        _ if b % 2 == 1 => 1_000 << ((b - 1) / 2),
+        _ => 1_250 << ((b - 1) / 2),
+    }
 }
 
 impl<'e> FitnessHarness<'e> {
@@ -509,22 +580,27 @@ impl<'e> FitnessHarness<'e> {
     pub(crate) fn fitness(&self, expr: &FeatureExpr) -> Option<f64> {
         let started = Instant::now();
         let column = self.pool.column_cancellable(expr, self.budget);
-        add_elapsed_us(&self.column_us, started);
+        let us = elapsed_us(started);
+        self.column_us.fetch_add(us, Ordering::Relaxed);
+        self.tail.record(us);
         let column = column?;
         let started = Instant::now();
         let fitness = self.model_fitness(&column);
-        add_elapsed_us(&self.tree_us, started);
+        self.tree_us.fetch_add(elapsed_us(started), Ordering::Relaxed);
         Some(fitness)
     }
 
     /// Mean validation speedup, over the internal splits, of the trees
     /// trained on the base columns plus `column`.
     fn model_fitness(&self, column: &[f64]) -> f64 {
-        let Some((data, presorted)) =
-            fitness_model(&self.base_columns, Some(column), &self.labels, self.n_classes)
-        else {
+        let (Some(data), Some(base_sorted)) = (
+            fitness_dataset(&self.base_columns, Some(column), &self.labels, self.n_classes),
+            &self.base_sorted,
+        ) else {
             return 0.0;
         };
+        let mut presorted = base_sorted.clone();
+        presorted.push_feature(&data);
         let total: f64 = self
             .splits
             .iter()
@@ -543,6 +619,7 @@ impl<'e> FitnessHarness<'e> {
             let us = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64;
             telemetry.gauge_set("search.fitness_column_us", us(&self.column_us));
             telemetry.gauge_set("search.fitness_tree_us", us(&self.tree_us));
+            self.tail.record_telemetry(telemetry);
         }
     }
 
@@ -552,9 +629,12 @@ impl<'e> FitnessHarness<'e> {
         self.pool.column(expr, self.budget)
     }
 
-    /// Appends an accepted feature's column to the base set.
+    /// Appends an accepted feature's column to the base set and presorts
+    /// the new base for the next feature step.
     pub(crate) fn push_base_column(&mut self, column: Vec<f64>) {
         self.base_columns.push(column);
+        self.base_sorted = fitness_dataset(&self.base_columns, None, &self.labels, self.n_classes)
+            .map(|d| Presorted::new(&d));
     }
 
     /// Routes the driver's cancel token into the pool (see
@@ -584,19 +664,18 @@ impl<'e> FitnessHarness<'e> {
     }
 }
 
-/// Assembles one candidate's fitness dataset (the base feature columns plus
-/// the optional candidate column) and presorts its feature columns, once,
-/// for reuse across every internal split that judges the candidate.
+/// Assembles one candidate's fitness dataset: the base feature columns plus
+/// the optional candidate column.
 ///
 /// `None` when the dataset is malformed (the candidate then scores 0.0
 /// instead of crashing the search); columns are rectangular by construction
 /// so this does not happen in practice.
-fn fitness_model(
+fn fitness_dataset(
     base_columns: &[Vec<f64>],
     extra: Option<&[f64]>,
     labels: &[usize],
     n_classes: usize,
-) -> Option<(Dataset, Presorted)> {
+) -> Option<Dataset> {
     let n = labels.len();
     let width = base_columns.len() + usize::from(extra.is_some());
     let mut rows: Vec<Vec<f64>> = vec![Vec::with_capacity(width); n];
@@ -605,9 +684,7 @@ fn fitness_model(
             row.push(v);
         }
     }
-    let data = Dataset::new(rows, labels.to_vec(), n_classes).ok()?;
-    let presorted = Presorted::new(&data);
-    Some((data, presorted))
+    Dataset::new(rows, labels.to_vec(), n_classes).ok()
 }
 
 /// Fixed internal splits for the whole search, so every candidate is judged
@@ -733,8 +810,9 @@ impl<'a> SearchDriver<'a> {
     /// an execution knob, not a search parameter: for a given
     /// [`SearchConfig::topology`] any worker count, any launcher — and
     /// in-process threads — produce byte-identical results and
-    /// checkpoints. Ignored for single-island topologies (one island has no
-    /// round structure to distribute; it runs in-process).
+    /// checkpoints. A single-island topology has no round structure to
+    /// distribute, so running one with process workers fails with
+    /// [`SearchError::InvalidConfig`].
     pub fn process_workers(mut self, workers: usize, launcher: WorkerLauncher) -> Self {
         self.workers = workers.max(1);
         self.launcher = Some(launcher);
@@ -787,6 +865,13 @@ impl<'a> SearchDriver<'a> {
         if cfg.topology.migration_every == 0 {
             return Err(SearchError::InvalidConfig {
                 detail: "island migration cadence must be at least one round".into(),
+            });
+        }
+        if self.launcher.is_some() && cfg.topology.islands == 1 {
+            return Err(SearchError::InvalidConfig {
+                detail: "process workers step islands, but the topology has one island: \
+                         pass --islands N with N > 1"
+                    .into(),
             });
         }
         // One harness for the whole run: every loop is arena-flattened once
@@ -1051,12 +1136,16 @@ impl<'a> SearchDriver<'a> {
                 (Some(islands), _, None, None) => {
                     self.drive_islands(&engine, islands, InThread(&fitness), &progress)
                 }
-                (None, Some(state), Some(injector), _) => {
+                (None, Some(state), Some(injector), None) => {
                     let wrapped = injector.wrap(&fitness);
                     self.drive_gp(&engine, state, &wrapped, &progress)
                 }
-                (None, Some(state), None, _) => self.drive_gp(&engine, state, &fitness, &progress),
-                (None, None, _, _) => unreachable!("exactly one GP state shape is prepared"),
+                (None, Some(state), None, None) => {
+                    self.drive_gp(&engine, state, &fitness, &progress)
+                }
+                (None, _, _, _) => {
+                    unreachable!("one GP state is prepared; process workers need islands")
+                }
             };
             let run = match run {
                 Ok(run) => run,
@@ -1409,6 +1498,31 @@ fn mean_speedup_at(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn tail_buckets_floor_at_one_five_and_twenty_ms() {
+        for (us, bucket) in [
+            (0, 0),
+            (999, 0),
+            (1_000, 1),
+            (1_249, 1),
+            (1_250, 2),
+            (4_999, 5),
+            (5_000, 6),
+            (19_999, 9),
+            (20_000, 10),
+            (u64::MAX, TAIL_BUCKETS - 1),
+        ] {
+            assert_eq!(tail_bucket(us), bucket, "{us} µs");
+        }
+        for b in 0..TAIL_BUCKETS {
+            let floor = tail_floor_us(b);
+            assert_eq!(tail_bucket(floor), b, "floor of bucket {b}");
+            if b > 0 {
+                assert_eq!(tail_bucket(floor - 1), b - 1, "below bucket {b}");
+            }
+        }
+    }
 
     /// Synthetic task: loops whose best unroll factor is fully determined
     /// by a discoverable IR property (the number of `insn` children),

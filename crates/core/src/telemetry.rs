@@ -453,20 +453,22 @@ impl Event<'_> {
     /// (and, when mirroring, to stderr).
     pub fn emit(self) {
         let Some(inner) = self.inner else { return };
+        // The number is taken under the sink's lock: taken before it, two
+        // racing emitters could write seq N+1 ahead of N.
+        let mut sink = inner.sink.as_ref().map(|s| s.lock());
         let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
         let ts = now_ms();
         let line = format!("{{\"seq\":{seq},\"ts_ms\":{ts}{}}}", self.buf);
-        if let Some(sink) = &inner.sink {
-            match &mut *sink.lock() {
-                SinkKind::File(f) => {
-                    // One write per line keeps the log well-formed under an
-                    // abrupt kill (modulo at most one truncated tail line,
-                    // which the resume scan and report reader both skip).
-                    let _ = writeln!(f, "{line}");
-                    let _ = f.flush();
-                }
-                SinkKind::Memory(lines) => lines.push(line.clone()),
+        match sink.as_deref_mut() {
+            Some(SinkKind::File(f)) => {
+                // One write per line keeps the log well-formed under an
+                // abrupt kill (modulo at most one truncated tail line,
+                // which the resume scan and report reader both skip).
+                let _ = writeln!(f, "{line}");
+                let _ = f.flush();
             }
+            Some(SinkKind::Memory(lines)) => lines.push(line.clone()),
+            None => {}
         }
         if inner.mirror_stderr {
             let mut err = io::stderr().lock();
@@ -651,6 +653,32 @@ mod tests {
         let v: serde::Value = serde_json::from_str(last).expect("parses");
         assert_eq!(report::field_str(&v, "kind"), Some("c"));
         assert_eq!(report::field_u64(&v, "seq"), Some(3));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn parallel_emitters_keep_the_log_in_sequence_order() {
+        let dir = std::env::temp_dir().join(format!(
+            "fegen-telemetry-race-{}-{}",
+            std::process::id(),
+            now_ms()
+        ));
+        let t = Telemetry::to_dir(&dir).expect("open");
+        std::thread::scope(|s| {
+            for thread in 0..6u64 {
+                let t = &t;
+                s.spawn(move || {
+                    for i in 0..400u64 {
+                        t.event("tick").u64("thread", thread).u64("i", i).emit();
+                    }
+                });
+            }
+        });
+        drop(t);
+        assert_eq!(
+            report::check_integrity(&dir).expect("log readable"),
+            Ok(2_400)
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

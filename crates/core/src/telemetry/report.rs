@@ -397,6 +397,38 @@ pub fn render(events: &[ParsedEvent], skipped: usize) -> String {
             100.0 * tree_us as f64 / (column_us + tree_us) as f64
         );
     }
+    // The candidate-cost tail: candidates per column-time bucket floor
+    // (µs), with 1, 5 and 20 ms among the floors.
+    let tail: Vec<(u64, u64, u64)> = metrics
+        .iter()
+        .filter_map(|(name, &n)| {
+            let floor: u64 = name.strip_prefix("search.tail_candidates.")?.parse().ok()?;
+            Some((floor, n as u64, get(&format!("search.tail_us.{floor}"))))
+        })
+        .collect();
+    let at_least = |floor_us: u64| {
+        tail.iter()
+            .filter(|t| t.0 >= floor_us)
+            .fold((0, 0), |(n, us), t| (n + t.1, us + t.2))
+    };
+    let (candidates, tail_us) = at_least(0);
+    if candidates > 0 {
+        let share = |ms: u64| {
+            let (n, us) = at_least(ms * 1_000);
+            format!(
+                "≥{ms}ms {n} ({:.1}%)",
+                100.0 * us as f64 / tail_us.max(1) as f64
+            )
+        };
+        let _ = writeln!(
+            out,
+            "candidate tail: {candidates} candidate(s), {} column eval; {}, {}, {} of column time",
+            fmt_dur_us(tail_us),
+            share(1),
+            share(5),
+            share(20)
+        );
+    }
 
     // Supervisor wait: the rounds' wall-clock against the step time that
     // filled it, over the slots (workers that had an island) a round could
@@ -753,6 +785,14 @@ mod tests {
         t.counter_add("supervisor.busy_us", 150_000);
         t.gauge_set("search.fitness_column_us", 30_000.0);
         t.gauge_set("search.fitness_tree_us", 90_000.0);
+        for (floor, n, us) in [(0, 90, 20_000), (1_000, 6, 8_000), (5_000, 3, 30_000)] {
+            t.counter_add(&format!("search.tail_candidates.{floor}"), n);
+            t.counter_add(&format!("search.tail_us.{floor}"), us);
+        }
+        // Two searches on one handle sum into one histogram.
+        t.counter_add("search.tail_candidates.20000", 1);
+        t.counter_add("search.tail_us.20000", 40_000);
+        t.counter_add("search.tail_us.20000", 2_000);
         t.emit_metrics("eval_pool");
         drop(t);
 
@@ -764,6 +804,13 @@ mod tests {
         assert!(
             summary
                 .contains("search fitness: 30.0ms column eval, 90.0ms tree train (75.0% in trees)"),
+            "{summary}"
+        );
+        assert!(
+            summary.contains(
+                "candidate tail: 100 candidate(s), 100.0ms column eval; \
+                 ≥1ms 10 (80.0%), ≥5ms 4 (72.0%), ≥20ms 1 (42.0%) of column time"
+            ),
             "{summary}"
         );
         assert!(

@@ -103,25 +103,38 @@ impl Presorted {
     /// Sorts every feature column of `data` once.
     pub fn new(data: &Dataset) -> Presorted {
         let by_feature = (0..data.n_features())
-            .map(|f| {
-                let mut column: Vec<Entry> = (0..data.len())
-                    .map(|i| Entry {
-                        value: data.row(i)[f],
-                        label: data.label(i) as u32,
-                        example: i as u32,
-                    })
-                    .collect();
-                // `total_cmp`, not `partial_cmp(..).unwrap_or(Equal)`: the
-                // latter is not a total order when a NaN feature value slips
-                // in, making the sort order — and thus the learned tree —
-                // nondeterministic. Under the total order NaNs sort after
-                // +inf, deterministically.
-                column.sort_by(|a, b| a.value.total_cmp(&b.value));
-                column
-            })
+            .map(|f| sorted_column(data, f))
             .collect();
         Presorted { by_feature }
     }
+
+    /// Sorts the next feature column of `data` — the first one `self` does
+    /// not hold yet — onto the end. `self` must presort a prefix of
+    /// `data`'s features over the same examples and labels; the result then
+    /// equals `Presorted::new(data)` restricted to one more feature, so a
+    /// caller that varies only the last column sorts only that column.
+    pub fn push_feature(&mut self, data: &Dataset) {
+        let f = self.by_feature.len();
+        self.by_feature.push(sorted_column(data, f));
+    }
+}
+
+/// Feature `f` of every example, in ascending value order (stable in
+/// example order for ties).
+fn sorted_column(data: &Dataset, f: usize) -> Vec<Entry> {
+    let mut column: Vec<Entry> = (0..data.len())
+        .map(|i| Entry {
+            value: data.row(i)[f],
+            label: data.label(i) as u32,
+            example: i as u32,
+        })
+        .collect();
+    // `total_cmp`, not `partial_cmp(..).unwrap_or(Equal)`: the latter is not
+    // a total order when a NaN feature value slips in, making the sort
+    // order — and thus the learned tree — nondeterministic. Under the total
+    // order NaNs sort after +inf, deterministically.
+    column.sort_by(|a, b| a.value.total_cmp(&b.value));
+    column
 }
 
 /// A trained decision tree.
@@ -847,6 +860,23 @@ mod tests {
             let slow = DecisionTree::train(&d.subset(&indices), &TreeConfig::default());
             assert_eq!(fast, slow, "subset {lo}..{hi}");
         }
+    }
+
+    #[test]
+    fn pushing_the_last_feature_equals_sorting_them_all() {
+        // Ties, a NaN and signed zeros in the pushed column: the stable
+        // total-order sort must land every entry where `new` puts it.
+        let last = [3.0, -0.0, 1.0, f64::NAN, 0.0, 1.0, 3.0, -2.0];
+        let xs: Vec<Vec<f64>> = (0..8).map(|i| vec![(i * 5 % 3) as f64, last[i]]).collect();
+        let ys: Vec<usize> = (0..8).map(|i| i % 2).collect();
+        let full = Dataset::new(xs.clone(), ys.clone(), 2).unwrap();
+        let prefix: Vec<Vec<f64>> = xs.iter().map(|r| r[..1].to_vec()).collect();
+        let mut pushed = Presorted::new(&Dataset::new(prefix, ys, 2).unwrap());
+        pushed.push_feature(&full);
+        assert_eq!(
+            format!("{pushed:?}"),
+            format!("{:?}", Presorted::new(&full))
+        );
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! --migration-every <n>    rounds between elite migrations (default 5)
 //! --island-restart-limit <n>  crashed step retries before an island is frozen (default 3)
 //! --workers <n>            island worker threads (execution knob; results identical)
-//! --workers-proc <n>       step islands in n worker *processes* (results identical)
+//! --workers-proc <n>       step islands in n worker *processes* (results identical; needs --islands > 1)
 //! --worker-channel <name>  process-worker channel: stdio (default) | unix-socket
 //! ```
 //!
@@ -205,7 +205,7 @@ fn print_usage() {
     println!("  --migration-every <n>    rounds between elite migrations (default 5)");
     println!("  --island-restart-limit <n>  crashed retries before freezing an island (default 3)");
     println!("  --workers <n>            island worker threads (results identical for any n)");
-    println!("  --workers-proc <n>       step islands in n worker processes (results identical)");
+    println!("  --workers-proc <n>       step islands in n worker processes (needs --islands > 1)");
     println!("  --worker-channel <name>  process-worker channel: stdio (default) | unix-socket");
     println!();
     println!("bench-perf flags:");

@@ -170,6 +170,24 @@ fn unix_socket_workers_reproduce_the_thread_outcome() {
     }
 }
 
+/// One island has no rounds to hand out: asking for process workers anyway
+/// is a configuration error naming `--islands`, not a silent in-process run.
+#[test]
+fn process_workers_on_a_single_island_are_rejected() {
+    let examples = synthetic_examples(40);
+    let err = FeatureSearch::from_examples(&examples, island_config(1))
+        .driver()
+        .process_workers(2, WorkerLauncher::Loopback)
+        .run(&examples)
+        .expect_err("one island cannot be stepped by process workers");
+    match &err {
+        SearchError::InvalidConfig { detail } => {
+            assert!(detail.contains("--islands"), "{err}");
+        }
+        other => panic!("expected InvalidConfig, got {other}"),
+    }
+}
+
 /// The run log names the worker processes it stepped with, not the
 /// (default, single) thread count.
 #[test]

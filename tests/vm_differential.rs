@@ -11,8 +11,10 @@
 //! interpreter run byte for byte at any thread count.
 
 use fegen::core::grammar::Grammar;
-use fegen::core::ir::{IrArena, IrNode};
-use fegen::core::lang::{parse_feature, EvalError, Evaluator, FeatureExpr, Program};
+use fegen::core::ir::{IrArena, IrNode, Symbol};
+use fegen::core::lang::{
+    parse_feature, ArithOp, BoolExpr, CmpOp, EvalError, Evaluator, FeatureExpr, Program, SeqExpr,
+};
 use fegen::core::search::TrainingExample;
 use fegen::core::{
     CancelToken, EvalEngine, EvalPool, FaultInjector, FaultKind, FaultPlan, FaultTrigger,
@@ -49,14 +51,19 @@ fn corpus() -> (Grammar, Vec<IrNode>) {
 /// from the RNG, so the differential check is not limited to the shapes the
 /// RTL exporter happens to produce.
 fn random_ir(rng: &mut StdRng, depth: usize) -> IrNode {
+    random_ir_fanout(rng, depth, 4)
+}
+
+/// [`random_ir`] with up to `fanout - 1` children per node.
+fn random_ir_fanout(rng: &mut StdRng, depth: usize, fanout: usize) -> IrNode {
     const KINDS: [&str; 5] = ["loop", "insn", "jump_insn", "mem_ref", "expr"];
     let kind = KINDS[rng.gen_range(0..KINDS.len())];
     let mut node = IrNode::new(kind);
-    fill(rng, &mut node, depth);
+    fill(rng, &mut node, depth, fanout);
     node
 }
 
-fn fill(rng: &mut StdRng, node: &mut IrNode, depth: usize) {
+fn fill(rng: &mut StdRng, node: &mut IrNode, depth: usize, fanout: usize) {
     const KINDS: [&str; 5] = ["loop", "insn", "jump_insn", "mem_ref", "expr"];
     const ENUMS: [&str; 4] = ["SI", "DF", "QI", "none"];
     for (name, p) in [("weight", 0.8), ("depth", 0.4), ("stride", 0.3)] {
@@ -73,9 +80,9 @@ fn fill(rng: &mut StdRng, node: &mut IrNode, depth: usize) {
         node.attr_bool("innermost", innermost);
     }
     if depth > 0 {
-        for _ in 0..rng.gen_range(0..4usize) {
+        for _ in 0..rng.gen_range(0..fanout) {
             let kind = KINDS[rng.gen_range(0..KINDS.len())];
-            node.child(kind, |c| fill(rng, c, depth - 1));
+            node.child(kind, |c| fill(rng, c, depth - 1, fanout));
         }
     }
 }
@@ -243,6 +250,261 @@ fn non_finite_outcomes_agree() {
         assert_eq!(pool.eval(&overflow, 0, 1_000_000), interp);
         assert_eq!(pool.eval(&overflow, 0, 1_000_000), interp);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Nested aggregate chains: the shapes the columnar sweep evaluates once per
+// IR node instead of once per enclosing context.
+// ---------------------------------------------------------------------------
+
+const ATTRS: [&str; 3] = ["weight", "depth", "stride"];
+const KINDS: [&str; 5] = ["loop", "insn", "jump_insn", "mem_ref", "expr"];
+
+fn pick(rng: &mut StdRng, xs: &[&str]) -> Symbol {
+    Symbol::intern(xs[rng.gen_range(0..xs.len())])
+}
+
+/// A pure predicate: atoms under negation, conjunction, disjunction and
+/// child probes.
+fn gen_pure(rng: &mut StdRng, depth: usize) -> BoolExpr {
+    let atom = match rng.gen_range(0..4) {
+        0 => BoolExpr::IsType(pick(rng, &KINDS)),
+        1 => BoolExpr::AttrEqEnum(Symbol::intern("mode"), pick(rng, &["SI", "DF", "QI"])),
+        2 => {
+            let op = [CmpOp::Le, CmpOp::Gt, CmpOp::Eq][rng.gen_range(0..3usize)];
+            BoolExpr::AttrCmpNum(pick(rng, &ATTRS), op, f64::from(rng.gen_range(-8..64)))
+        }
+        _ => BoolExpr::HasAttr(pick(rng, &ATTRS)),
+    };
+    if depth == 0 {
+        return atom;
+    }
+    let sub = |rng: &mut StdRng| Box::new(gen_pure(rng, depth - 1));
+    match rng.gen_range(0..6) {
+        0 => BoolExpr::Not(sub(rng)),
+        1 => BoolExpr::And(sub(rng), sub(rng)),
+        2 => BoolExpr::Or(sub(rng), sub(rng)),
+        3 => BoolExpr::ChildMatches(rng.gen_range(0..3), sub(rng)),
+        _ => atom,
+    }
+}
+
+/// A filter: pure, or a `Cmp` of two nested expressions, possibly negated,
+/// conjoined or under a child probe.
+fn gen_pred(rng: &mut StdRng, depth: usize) -> BoolExpr {
+    if depth == 0 || rng.gen_bool(0.5) {
+        return gen_pure(rng, 1);
+    }
+    let op = [CmpOp::Lt, CmpOp::Ge, CmpOp::Gt, CmpOp::Ne][rng.gen_range(0..4usize)];
+    let cmp = BoolExpr::Cmp(
+        op,
+        Box::new(gen_num(rng, depth - 1)),
+        Box::new(gen_num(rng, depth - 1)),
+    );
+    match rng.gen_range(0..5) {
+        0 => BoolExpr::Not(Box::new(cmp)),
+        1 => BoolExpr::And(Box::new(gen_pure(rng, 0)), Box::new(cmp)),
+        2 => BoolExpr::Or(Box::new(cmp), Box::new(gen_pure(rng, 0))),
+        3 => BoolExpr::ChildMatches(rng.gen_range(0..2), Box::new(cmp)),
+        _ => cmp,
+    }
+}
+
+/// `//*` (mostly) or `/*` under zero to two filters.
+fn gen_seq(rng: &mut StdRng, depth: usize) -> SeqExpr {
+    let mut seq = if rng.gen_bool(0.75) {
+        SeqExpr::Descendants
+    } else {
+        SeqExpr::Children
+    };
+    for _ in 0..[0, 0, 1, 2][rng.gen_range(0..4usize)] {
+        seq = SeqExpr::Filter(Box::new(seq), Box::new(gen_pred(rng, depth)));
+    }
+    seq
+}
+
+/// A leaf: attribute reads, literals (some large enough that two of them
+/// overflow a sum) and counts.
+fn gen_leaf(rng: &mut StdRng) -> FeatureExpr {
+    match rng.gen_range(0..9) {
+        0..=2 => FeatureExpr::GetAttr(pick(rng, &ATTRS)),
+        3 => FeatureExpr::Count(SeqExpr::Children),
+        4 => FeatureExpr::Count(SeqExpr::Descendants),
+        5 => FeatureExpr::Count(SeqExpr::Filter(
+            Box::new(SeqExpr::Descendants),
+            Box::new(gen_pure(rng, 1)),
+        )),
+        6 if rng.gen_bool(0.3) => FeatureExpr::Const(1e308),
+        _ => FeatureExpr::Const(f64::from(rng.gen_range(0..10))),
+    }
+}
+
+/// A nested aggregate chain with arithmetic, counts and filters, at most
+/// `depth` aggregate levels deep.
+fn gen_num(rng: &mut StdRng, depth: usize) -> FeatureExpr {
+    if depth == 0 {
+        return gen_leaf(rng);
+    }
+    let sub = |rng: &mut StdRng| Box::new(gen_num(rng, depth - 1));
+    match rng.gen_range(0..10) {
+        0..=5 => {
+            let seq = gen_seq(rng, depth - 1);
+            match rng.gen_range(0..5) {
+                0 => FeatureExpr::Count(seq),
+                1 => FeatureExpr::Sum(seq, sub(rng)),
+                2 => FeatureExpr::Max(seq, sub(rng)),
+                3 => FeatureExpr::Min(seq, sub(rng)),
+                _ => FeatureExpr::Avg(seq, sub(rng)),
+            }
+        }
+        6..=8 => {
+            let op =
+                [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div][rng.gen_range(0..4usize)];
+            FeatureExpr::Arith(op, sub(rng), sub(rng))
+        }
+        _ => FeatureExpr::Neg(sub(rng)),
+    }
+}
+
+/// Interpreter budget past which a case is only checked at the cap itself.
+const COST_CAP: u64 = 400_000;
+
+/// Checks `f` on `ir` at the interpreter's exact cost −1, 0 and +1 — on a
+/// bare program and through a pool (its CSE path) — or, when the cost
+/// passes [`COST_CAP`], at the cap, where both must run out of budget.
+fn assert_agree_around_cost(f: &FeatureExpr, ir: &IrNode) {
+    let mut ev = Evaluator::new(COST_CAP);
+    let capped = ev.eval(f, ir) == Err(EvalError::BudgetExceeded);
+    let budgets: Vec<u64> = if capped {
+        vec![COST_CAP]
+    } else {
+        let spent = COST_CAP - ev.remaining();
+        vec![spent.saturating_sub(1), spent, spent + 1]
+    };
+    let arena = IrArena::from_tree(ir);
+    let prog = Program::compile(f);
+    let pool = EvalPool::new([ir], EvalEngine::Compiled);
+    for budget in budgets {
+        let want = f.eval_with_budget(ir, budget);
+        assert_eq!(prog.eval(&arena, budget), want, "`{f}` at budget {budget}");
+        assert_eq!(
+            pool.eval(f, 0, budget),
+            want,
+            "pooled `{f}` at budget {budget}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(
+        if cfg!(debug_assertions) { 48 } else { 5_000 }
+    ))]
+
+    /// Generated nested `//*` / `/*` aggregate chains agree with the
+    /// interpreter on random IR trees, value for value and at every budget
+    /// around their exact cost.
+    #[test]
+    fn nested_aggregate_chains_match_interpreter(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Wide enough that most subtrees pass the sweep's size floor.
+        let ir = random_ir_fanout(&mut rng, 4, 6);
+        let levels = rng.gen_range(2..5);
+        let f = match rng.gen_range(0..3) {
+            0 => FeatureExpr::Count(gen_seq(&mut rng, levels)),
+            1 => FeatureExpr::Sum(gen_seq(&mut rng, levels), Box::new(gen_num(&mut rng, levels))),
+            _ => FeatureExpr::Avg(gen_seq(&mut rng, levels), Box::new(gen_num(&mut rng, levels))),
+        };
+        assert_agree_around_cost(&f, &ir);
+    }
+}
+
+/// Deeply nested descendant aggregates of the kind the GP breeds (the
+/// first three verbatim from search logs), checked on every exported loop.
+#[test]
+fn gp_logged_nested_shapes_match_interpreter() {
+    let (_, irs) = corpus();
+    let shapes = [
+        "sum(//*, get-attr(@unchanging) - sum(//*, sum(//*, sum(//*, \
+         get-attr(@unchanging) - get-attr(@value)))))",
+        "avg(//*, 3 * (count(filter(//*, count(//*) * 10 > count(/*))) - count(//*)))",
+        "sum(//*, sum(//*, sum(//*, count(filter(filter(//*, @value <= 9382), /[6][@mode==DF])))))",
+        "max(//*, count(//*) + max(//*, count(filter(//*, is-type(reg)))))",
+        "min(//*, sum(//*, get-attr(@value) * count(/*)) - avg(/*, count(//*)))",
+        "sum(filter(//*, count(//*) > 2), sum(//*, sum(//*, get-attr(@value))))",
+        "count(filter(//*, sum(//*, count(filter(//*, is-type(reg)))) >= count(/*)))",
+        "avg(//*, max(filter(//*, !(count(/*) < 2)), sum(//*, 1) / count(//*)))",
+        "sum(//*, sum(/*, sum(//*, get-attr(@value) - 1)))",
+        "max(//*, sum(filter(//*, /[0][count(//*) > 1]), -sum(//*, count(/*))))",
+        "sum(//*, sum(//*, sum(//*, get-attr(@value) * 1e300 * 1e300)))",
+    ];
+    let pool = EvalPool::new(irs.iter(), EvalEngine::Compiled);
+    for src in shapes {
+        let f = parse_feature(src).unwrap_or_else(|e| panic!("`{src}`: {e}"));
+        for ir in &irs {
+            assert_agree_around_cost(&f, ir);
+        }
+        let _ = pool.column(&f, 60_000);
+    }
+    // The battery really exercises both outcomes of the sweep.
+    let stats = pool.stats();
+    assert!(stats.column_commits > 0, "{stats:?}");
+    assert!(stats.column_fallbacks > 0, "{stats:?}");
+}
+
+/// A chain of `n` nodes, each the only child of the one before.
+fn chain(n: usize) -> IrNode {
+    let mut node = IrNode::new("expr");
+    node.attr_num("weight", 1.0);
+    for _ in 1..n {
+        let mut parent = IrNode::new("insn");
+        parent.attr_num("weight", 2.0);
+        parent.push_child(node);
+        node = parent;
+    }
+    node
+}
+
+/// Eight nested `sum(//*, …)` levels over a 600-node chain cost more
+/// interpreter steps than `u64` holds: the per-node cost columns must
+/// saturate, not wrap into a small total that would pass the budget.
+#[test]
+fn step_costs_past_u64_saturate_and_exceed_every_budget() {
+    const N: usize = 600;
+    const LEVELS: usize = 8;
+    // Exact interpreter cost, in u128, of `LEVELS` nested `sum(//*, …)`
+    // around `count(//*)` at chain position `i` (whose subtree is
+    // positions `i..N`): entry + Σ over descendants (for_each + body).
+    let mut cost: Vec<u128> = (0..N).map(|i| 1 + (N - 1 - i) as u128).collect();
+    for _ in 0..LEVELS {
+        let mut suffix = 0u128;
+        let mut next = vec![0u128; N];
+        for i in (0..N).rev() {
+            next[i] = 1 + suffix;
+            suffix += 1 + cost[i];
+        }
+        cost = next;
+    }
+    assert!(
+        cost[0] > u128::from(u64::MAX),
+        "the shape must overflow u64"
+    );
+    let mut src = String::from("count(//*)");
+    for _ in 0..LEVELS {
+        src = format!("sum(//*, {src})");
+    }
+    let f = parse_feature(&src).unwrap();
+    let ir = chain(N);
+    let arena = IrArena::from_tree(&ir);
+    let prog = Program::compile(&f);
+    assert_eq!(prog.path(), fegen::core::ProgramPath::LoopNest);
+    for budget in [0, 1_000, 2_000_000] {
+        assert_eq!(prog.eval(&arena, budget), f.eval_with_budget(&ir, budget));
+    }
+    // Far beyond what the interpreter can run, the answer is still known.
+    assert_eq!(
+        prog.eval(&arena, u64::MAX - 1),
+        Err(EvalError::BudgetExceeded)
+    );
 }
 
 // ---------------------------------------------------------------------------
